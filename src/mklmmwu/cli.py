@@ -414,6 +414,12 @@ def _validate(args, parser):
             parser.error("--train-fraction must lie in (0, 1)")
     if getattr(args, "max_iters", None) is not None and args.max_iters < 1:
         parser.error("--max-iters must be at least 1")
+    if getattr(args, "folds", None) is not None and args.folds < 2:
+        parser.error("--folds must be at least 2")
+    if getattr(args, "repeats", None) is not None and args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
 
 def main(argv=None) -> int:

@@ -25,10 +25,6 @@ class OneClassSplit(MklError):
     """A train/test split left the training side with a single class."""
 
 
-class DegenerateKernel(MklError):
-    """A kernel's trace normalizer came out non-positive."""
-
-
 class InfeasibleDual(MklError):
     """No violating pair exists because a label class is absent."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,27 +69,15 @@ def extract_weights(state: SolverState) -> np.ndarray:
 def compute_bias(state: SolverState, accessor, mu: np.ndarray) -> float:
     """Bias of the perpendicular bisector between the two class hull points.
 
-    b = (|p_minus|^2 - |p_plus|^2) / 2 in the mu-weighted (regularized)
-    kernel. Hull norms are accumulated row by row from on-demand columns,
-    never materializing an n x n matrix.
+    b = (|p_minus|^2 - |p_plus|^2) / 2 in the mu-weighted regularized kernel
+    sum_i mu_i (K_i + ridge_i I) / r_i, with hull coefficients 2 alpha_bar / t.
+    The cross terms cancel in the difference of the hull norms, which leaves
+    b = -2/t^2 sum_i mu_i / r_i alpha_bar . (K_i + ridge_i I)(y alpha_bar),
+    that is -1/t^2 sum_i mu_i / r_i alpha_bar . w_i in the solver's cache of
+    pick counts: O(m n), with no kernel column.
     """
     t = float(state.t)
-    c2 = 2.0 * (state.alpha_bar / t)
-    y = accessor.labels
-    sv = np.flatnonzero(c2 > 0.0)
-    pos = sv[y[sv] > 0]
-    neg = sv[y[sv] < 0]
-    row_buf = np.empty((accessor.m, accessor.n))
-    norm_plus = 0.0
-    norm_minus = 0.0
-    for j in sv:
-        accessor.signed_columns_all(int(j), out=row_buf)
-        krow = (y[j] * y) * (mu @ row_buf)  # unsigned regularized kappa_mu row j
-        if y[j] > 0:
-            norm_plus += c2[j] * float(krow[pos] @ c2[pos])
-        else:
-            norm_minus += c2[j] * float(krow[neg] @ c2[neg])
-    return 0.5 * (norm_minus - norm_plus)
+    return -1.0 / (t * t) * float((mu * accessor.inv_r) @ (state.w @ state.alpha_bar))
 
 
 def model_from_state(state: SolverState, scaling: ScalingParams | None = None) -> MklModel:
@@ -276,6 +265,22 @@ def _floats(parts: list[str], count: int, what: str) -> list[float]:
         raise MalformedModel(f"{what}: {exc}") from None
 
 
+def _finite(vals: list[float], what: str) -> list[float]:
+    if not all(math.isfinite(v) for v in vals):
+        raise MalformedModel(f"{what}: non-finite value")
+    return vals
+
+
+def _feature_index(field: str, dim: int) -> int:
+    try:
+        feature = int(field)
+    except ValueError:
+        raise MalformedModel(f"bad kernel feature {field!r}") from None
+    if not 0 <= feature < dim:
+        raise MalformedModel(f"kernel feature {feature} outside [0, {dim})")
+    return feature
+
+
 def load_model(source) -> MklModel:
     """Parse a model file (text or file object); raises MalformedModel."""
     text = source.read() if hasattr(source, "read") else source
@@ -294,16 +299,23 @@ def load_model(source) -> MklModel:
         dim = int(rd.next("dim")[1])
     except (IndexError, ValueError):
         raise MalformedModel("bad dim line") from None
+    if dim < 1:
+        raise MalformedModel(f"dim must be at least 1, found {dim}")
     scaling = None
     if rd.peek() == "scale_min":
-        mins = _floats(rd.next("scale_min")[1:], dim, "scale_min")
-        maxs = _floats(rd.next("scale_max")[1:], dim, "scale_max")
-        scaling = ScalingParams(np.array(mins), np.array(maxs))
+        mins = _finite(_floats(rd.next("scale_min")[1:], dim, "scale_min"), "scale_min")
+        maxs = _finite(_floats(rd.next("scale_max")[1:], dim, "scale_max"), "scale_max")
+        try:
+            scaling = ScalingParams(np.array(mins), np.array(maxs))
+        except ValueError as exc:
+            raise MalformedModel(str(exc)) from None
     try:
         n_support = int(rd.next("n_support")[1])
     except (IndexError, ValueError):
         raise MalformedModel("bad n_support line") from None
-    bias = _floats(rd.next("bias")[1:], 1, "bias")[0]
+    if n_support < 0:
+        raise MalformedModel(f"n_support must be nonnegative, found {n_support}")
+    bias = _finite(_floats(rd.next("bias")[1:], 1, "bias"), "bias")[0]
 
     specs: list[KernelSpec] = []
     mus: list[float] = []
@@ -316,10 +328,12 @@ def load_model(source) -> MklModel:
             param = float(parts[1])
         except ValueError:
             raise MalformedModel(f"bad kernel parameter {parts[1]!r}") from None
-        feature = None if parts[2] == "all" else int(parts[2])
+        feature = None if parts[2] == "all" else _feature_index(parts[2], dim)
         r = _floats(rd.next("r")[1:], 1, "r")[0]
         ridge = _floats(rd.next("ridge")[1:], 1, "ridge")[0]
         mu = _floats(rd.next("mu")[1:], 1, "mu")[0]
+        if not (math.isfinite(mu) and mu >= 0.0):
+            raise MalformedModel(f"kernel weight mu must be finite and nonnegative, found {mu}")
         try:
             specs.append(KernelSpec(kind, param, feature, r=r, ridge=ridge))
         except ValueError as exc:
@@ -333,16 +347,21 @@ def load_model(source) -> MklModel:
     coefs = np.zeros(n_support)
     for k in range(n_support):
         parts = rd.next("sv")
-        vals = _floats(parts[1:], dim + 2, "sv")
+        vals = _finite(_floats(parts[1:], dim + 2, "sv"), "sv")
         if vals[0] not in (-1.0, 1.0):
             raise MalformedModel(f"support label must be -1 or +1, found {vals[0]}")
+        if not vals[1] > 0.0:
+            raise MalformedModel(f"support coefficient must be positive, found {vals[1]}")
         labels[k] = vals[0]
         coefs[k] = vals[1]
         pts[k] = vals[2:]
     trailing = rd.peek()
     if trailing is not None:
         raise MalformedModel(f"unexpected trailing record {trailing!r}")
-    config = SolverConfig(eps=eps, rho=rho, margin=margin, C=C, quash_threshold=quash)
+    try:
+        config = SolverConfig(eps=eps, rho=rho, margin=margin, C=C, quash_threshold=quash)
+    except ValueError as exc:
+        raise MalformedModel(str(exc)) from None
     return MklModel(
         specs=tuple(specs),
         mu=np.array(mus),

@@ -49,17 +49,18 @@ def dense_expm(mat: np.ndarray) -> np.ndarray:
 
 
 def recompute_state(alpha_bar: np.ndarray, accessor) -> tuple[np.ndarray, np.ndarray]:
-    """Dense reference for the solver caches: v_i = G_i a and q_i = a' G_i a."""
+    """Dense reference for the solver caches in their stored form: the
+    unnormalized w_i = (K_i + ridge_i I) yc with yc = y * 2a, and the
+    quadforms q_i = a' G_i a = yc' w_i / (4 r_i)."""
     if accessor.n > 100:
         raise ValueError("recompute_state is capped at n <= 100")
-    alpha_bar = np.asarray(alpha_bar, dtype=np.float64)
-    v = np.zeros((accessor.m, accessor.n))
+    yc = accessor.labels * (2.0 * np.asarray(alpha_bar, dtype=np.float64))
+    w = np.zeros((accessor.m, accessor.n))
     q = np.zeros(accessor.m)
-    for i in range(accessor.m):
-        gram = accessor.dense_signed_gram(i)
-        v[i] = gram @ alpha_bar
-        q[i] = float(alpha_bar @ v[i])
-    return v, q
+    for i, spec in enumerate(accessor.specs):
+        w[i] = accessor.dense_gram(i) @ yc + spec.ridge * yc
+        q[i] = float(yc @ w[i]) / (4.0 * spec.r)
+    return w, q
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,7 @@ def test_criterion_6_memory_contract():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_protocol_reproduction():
     t0 = time.perf_counter()
     repeats = 30

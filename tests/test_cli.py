@@ -187,6 +187,19 @@ class TestCv:
         assert len(table_lines) == 2  # one row per grid cell
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--folds", "0"], ["--folds", "1"], ["--repeats", "0"], ["--jobs", "0"]],
+        ids=["folds0", "folds1", "repeats0", "jobs0"],
+    )
+    def test_bad_counts_exit_2(self, tmp_path, flags):
+        data = tmp_path / "d.svm"
+        _write_blobs(data, n=30)
+        with pytest.raises(SystemExit) as err:
+            main(["cv", "--data", str(data), "--C-grid", "1", "--max-iters", "50", *flags])
+        assert err.value.code == 2
+
+
 class TestStratifiedFolds:
     def test_partition_and_ratio(self):
         ds = make_random_dataset(53, 2, 9, pos_fraction=0.6)

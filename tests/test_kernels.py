@@ -10,7 +10,6 @@ from mklmmwu import (
     bind,
     eval_kernel,
     make_default_family,
-    signed_column,
 )
 from mklmmwu.kernels import combined_kernel_row
 
@@ -125,19 +124,26 @@ class TestSignedColumns:
                 assert acc.signed_column(i, j)[k] == acc.signed_column(i, k)[j]
 
     def test_batched_matches_per_kernel_bitwise(self):
+        # the raw block, written into a reused NaN-filled buffer and folded
+        # with ridge, 1/r_i and the label signs, is exactly the signed column
         ds = make_random_dataset(20, 3, 5)
         family = make_default_family(3, per_feature=True) + make_default_family(3)
         acc = bind(family, ds, C=4.0, margin_mode="l2")
+        buf = np.full((acc.m, acc.n), np.nan)
         for j in (0, 9, 19):
-            block = acc.signed_columns_all(j)
+            block = acc.signed_columns_all(j, out=buf)
             for i in range(acc.m):
-                assert np.array_equal(block[i], acc.signed_column(i, j))
+                folded = block[i].copy()
+                folded[j] += acc.ridge[i]
+                folded *= acc.inv_r[i]
+                folded *= ds.labels * ds.labels[j]
+                assert np.array_equal(folded, acc.signed_column(i, j))
 
     def test_deterministic_repeat_calls(self):
         ds = make_random_dataset(10, 2, 6)
         acc = bind(make_default_family(2), ds)
-        a = signed_column(acc, 3, 4)
-        b = signed_column(acc, 3, 4)
+        a = acc.signed_column(3, 4)
+        b = acc.signed_column(3, 4)
         assert np.array_equal(a, b)
 
     def test_assembled_gram_trace_and_psd(self):
@@ -160,6 +166,74 @@ class TestSignedColumns:
                 assert 0.0 < val <= 1.0
             else:
                 assert 1.0 <= val <= (4.0 + 1.0) ** int(spec.param)
+
+
+class TestRawBlock:
+    """The raw column block against eval_kernel, entry by entry."""
+
+    @staticmethod
+    def _worst_rel_error(family, d, n=16, seed=21):
+        ds = make_random_dataset(n, d, seed)
+        acc = bind(family, ds, C=4.0, margin_mode="l2")
+        worst = 0.0
+        for j in range(n):
+            block = acc.signed_columns_all(j)
+            for i, spec in enumerate(family):
+                for k in range(n):
+                    want = eval_kernel(spec, ds.points[k], ds.points[j])
+                    worst = max(worst, abs(block[i, k] - want) / abs(want))
+        return worst
+
+    def test_per_feature_family(self):
+        assert self._worst_rel_error(make_default_family(3, per_feature=True), 3) <= 1e-13
+
+    def test_all_feature_family(self):
+        assert self._worst_rel_error(make_default_family(5), 5) <= 1e-13
+
+    def test_mixed_family(self):
+        family = make_default_family(3, per_feature=True)[:20] + make_default_family(3)
+        assert self._worst_rel_error(family, 3) <= 1e-13
+
+    def test_polynomials_without_degree_one_or_with_duplicates(self):
+        # the all-feature base x.z + 1 then comes from its own step, or from
+        # the first of two identical degree-1 rows
+        no_linear = [KernelSpec("poly", 3.0), KernelSpec("poly", 2.0), KernelSpec("poly", 2.0, 1)]
+        assert self._worst_rel_error(no_linear, 3) <= 1e-13
+        duplicates = [KernelSpec("poly", 1.0), KernelSpec("poly", 2.0), KernelSpec("poly", 1.0),
+                      KernelSpec("poly", 3.0), KernelSpec("gaussian", 1.0, 0), KernelSpec("gaussian", 1.0, 0)]
+        assert self._worst_rel_error(duplicates, 3) <= 1e-13
+
+    def test_shuffled_family_gathers_and_scatters(self):
+        # rows in no arithmetic progression go through index arrays
+        family = make_default_family(3, per_feature=True) + make_default_family(3)
+        order = np.random.default_rng(24).permutation(len(family))
+        family = [family[i] for i in order]
+        acc = bind(family, make_random_dataset(8, 3, 25))
+        assert any(isinstance(op.rows, np.ndarray) for op in acc._plan)
+        assert self._worst_rel_error(family, 3) <= 1e-13
+
+    def test_non_ladder_bandwidths_take_plain_exp(self):
+        family = [KernelSpec("gaussian", s) for s in (0.7, 1.3, 2.9)]
+        family += [KernelSpec("gaussian", s, feature=1) for s in (0.7, 1.3, 2.9)]
+        ds = make_random_dataset(12, 3, 22)
+        acc = bind(family, ds)
+        assert all(op.src is None for op in acc._plan)
+        assert self._worst_rel_error(family, 3) <= 1e-13
+
+    def test_default_ladder_is_one_exp_per_scope(self):
+        # sigma^2 = 2^k: one exp step per scope, every other Gaussian step
+        # squares rows written before it, and every step reads and writes
+        # single rows or strided slices of the block (per-feature rung k is
+        # rows 3+k::12)
+        acc = bind(make_default_family(4, per_feature=True) + make_default_family(4),
+                   make_random_dataset(8, 4, 23))
+        gauss = [op for op in acc._plan if op.gaussian]
+        assert sum(op.src is None for op in gauss if op.feats is None) == 1
+        assert sum(op.src is None for op in gauss if op.feats is not None) == 1
+        assert all(isinstance(op.rows, (int, slice)) for op in acc._plan)
+        assert all(op.src is None or isinstance(op.src, (int, slice)) for op in acc._plan)
+        per_feature = [op.rows for op in gauss if op.feats is not None]
+        assert {tuple(range(48)[r]) for r in per_feature} == {tuple(range(3 + k, 48, 12)) for k in range(9)}
 
 
 class TestCombinedRow:

@@ -115,6 +115,27 @@ class TestBias:
             bias = compute_bias(state, state.accessor, mu)
             assert math.copysign(1.0, bias) == sign
 
+    @pytest.mark.parametrize("per_feature", [False, True])
+    @pytest.mark.parametrize("C", [None, 2.0])
+    def test_closed_form_matches_dense_hull_norms(self, per_feature, C):
+        # b = (|p-|^2 - |p+|^2) / 2 with p+- the class hull points under
+        # sum_i mu_i G_i; the error is measured against the larger hull norm,
+        # since the dense reference itself loses that much to cancellation
+        ds = make_random_dataset(40, 3, 31)
+        margin = "hard" if C is None else "l2"
+        state, total = train(ds, make_default_family(3, per_feature), SolverConfig(eps=0.3, margin=margin, C=C))
+        mu = extract_weights(state)
+        acc = state.accessor
+        g_mu = sum(weight * acc.dense_signed_gram(i) for i, weight in enumerate(mu))
+        c = 2.0 * state.alpha_bar / total
+        c_plus = np.where(ds.labels > 0, c, 0.0)
+        c_minus = c - c_plus
+        norm_plus = float(c_plus @ g_mu @ c_plus)
+        norm_minus = float(c_minus @ g_mu @ c_minus)
+        want = 0.5 * (norm_minus - norm_plus)
+        got = compute_bias(state, acc, mu)
+        assert abs(got - want) <= 1e-12 * max(norm_plus, norm_minus)
+
     def test_midpoint_is_on_the_boundary(self):
         model = model_from_state(_train_two_point()[0])
         assert decision_value(model, [0.5]) == pytest.approx(0.0, abs=1e-12)
@@ -247,3 +268,61 @@ class TestSerialization:
         text = serialize_model(self._model(scaling=False))
         with pytest.raises(MalformedModel):
             load_model(text + "leftover 1 2 3\n")
+
+
+class TestMalformedKernelLines:
+    """Each corrupted kernel record must raise MalformedModel, nothing else."""
+
+    @staticmethod
+    def _text():
+        ds = make_random_dataset(15, 2, 8)
+        return serialize_model(fit(ds, make_default_family(2, per_feature=True), SolverConfig(eps=0.4, margin="l2", C=2.0)))
+
+    def _corrupt_first(self, prefix, replace):
+        lines = self._text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[k] = replace(lines[k])
+        return "\n".join(lines) + "\n"
+
+    def _kernel_feature(self, value):
+        return self._corrupt_first("gaussian ", lambda line: " ".join(line.split()[:2] + [value]))
+
+    def test_negative_feature_index(self):
+        with pytest.raises(MalformedModel):
+            load_model(self._kernel_feature("-1"))
+
+    def test_feature_index_past_dim(self):
+        with pytest.raises(MalformedModel):
+            load_model(self._kernel_feature("2"))
+
+    def test_non_integer_feature_field(self):
+        with pytest.raises(MalformedModel):
+            load_model(self._kernel_feature("one"))
+
+    def test_nan_mu(self):
+        with pytest.raises(MalformedModel):
+            load_model(self._corrupt_first("mu ", lambda line: "mu nan"))
+
+    def test_negative_mu(self):
+        with pytest.raises(MalformedModel):
+            load_model(self._corrupt_first("mu ", lambda line: "mu -5"))
+
+    def test_negative_n_support(self):
+        with pytest.raises(MalformedModel):
+            load_model(self._corrupt_first("n_support ", lambda line: "n_support -1"))
+
+    @pytest.mark.parametrize(
+        "prefix, replacement",
+        [("bias ", "bias nan"), ("dim ", "dim 0"), ("eps ", "eps -1"), ("r ", "r inf"),
+         ("ridge ", "ridge nan"), ("gaussian ", "gaussian inf 0"), ("sv ", "sv +1 -0.5 0.1 0.2"),
+         ("sv ", "sv +1 0.5 nan 0.2"), ("scale_max ", "scale_max -5 -5")],
+    )
+    def test_other_corrupt_records(self, prefix, replacement):
+        text = serialize_model(fit(make_random_dataset(15, 2, 8), make_default_family(2, per_feature=True),
+                                   SolverConfig(eps=0.4, margin="l2", C=2.0),
+                                   scaling=ScalingParams(np.zeros(2), np.ones(2))))
+        lines = text.splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[k] = replacement
+        with pytest.raises(MalformedModel):
+            load_model("\n".join(lines) + "\n")

@@ -124,9 +124,10 @@ class TestRecomputeState:
         acc = bind([KernelSpec("gaussian", 2.0)], ds)
         alpha = np.zeros(8)
         alpha[3] = 1.0
-        v, q = recompute_state(alpha, acc)
+        w, q = recompute_state(alpha, acc)
+        raw = 2.0 * ds.labels[3] * acc.signed_columns_all(3)[0]
         col = acc.signed_column(0, 3)
-        assert np.allclose(v[0], col, rtol=1e-12, atol=1e-15)
+        assert np.allclose(w[0], raw, rtol=1e-12, atol=1e-15)
         assert q[0] == pytest.approx(col[3], rel=1e-12)
 
     def test_caps_large_instances(self):

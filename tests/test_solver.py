@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mklmmwu import (
     Dataset,
@@ -129,7 +131,7 @@ class TestExponentiate:
         state, acc, cfg = _two_point_state()
         apply_update(state, DualUpdate(0, 1), acc)
         exponentiate_m(state, cfg.eps_prime, cfg.rho)
-        m, n = state.v.shape
+        m, n = state.w.shape
         s = (cfg.eps_prime / (2.0 * cfg.rho)) * np.sqrt(np.maximum(state.q, 0.0))
         norm = m * (n - 1) * state.e_m + 2.0 * np.cosh(s).sum()
         reconstructed = (m * (n - 1) * state.e_m + 2.0 * np.cosh(s).sum()) / norm
@@ -144,7 +146,7 @@ class TestExponentiate:
         state = SolverState.fresh(acc, cfg)
         scale = cfg.eps_prime / (2.0 * cfg.rho)
         state.q = (np.array([25.0, 24.3]) / scale) ** 2
-        state.v = np.zeros((2, 8))
+        state.w = np.zeros((2, 8))
         p12, _ = exponentiate_m(state, cfg.eps_prime, cfg.rho, quash_threshold=20.0)
         assert state.e_m == pytest.approx(math.exp(-25.0), rel=1e-12)
         shifted = np.abs(p12) * (2 * (8 - 1) * state.e_m + 2.0 * (np.exp([0.0, -0.7])).sum())
@@ -160,12 +162,12 @@ class TestExponentiate:
         rng = np.random.default_rng(2)
         scale = cfg.eps_prime / (2.0 * cfg.rho)
         q = (np.array([25.0, 23.0, 27.5]) / scale) ** 2
-        v = rng.normal(size=(3, 10))
+        w = rng.normal(size=(3, 10))
         quashed = SolverState.fresh(acc, cfg)
-        quashed.q, quashed.v = q.copy(), v.copy()
+        quashed.q, quashed.w = q.copy(), w.copy()
         p12_q, g_q = exponentiate_m(quashed, cfg.eps_prime, cfg.rho, quash_threshold=20.0)
         exact = SolverState.fresh(acc, cfg)
-        exact.q, exact.v = q.copy(), v.copy()
+        exact.q, exact.w = q.copy(), w.copy()
         p12_e, g_e = exponentiate_m(exact, cfg.eps_prime, cfg.rho, quash_threshold=1e9)
         assert np.abs(g_q - g_e).max() <= 1e-10 * np.abs(g_e).max()
         assert np.abs(p12_q - p12_e).max() <= 1e-10 * np.abs(p12_e).max()
@@ -193,8 +195,29 @@ class TestApplyUpdate:
         for _ in range(25):
             upd = DualUpdate(int(rng.choice(pos)), int(rng.choice(neg)))
             apply_update(state, upd, acc)
-        v_ref, q_ref = recompute_state(state.alpha_bar, acc)
-        assert np.abs(state.v - v_ref).max() <= 1e-12 * max(np.abs(v_ref).max(), 1.0)
+        w_ref, q_ref = recompute_state(state.alpha_bar, acc)
+        assert np.abs(state.w - w_ref).max() <= 1e-12 * max(np.abs(w_ref).max(), 1.0)
+        assert np.abs(state.q - q_ref).max() <= 1e-12 * max(np.abs(q_ref).max(), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(4, 12),
+        per_feature=st.booleans(),
+        C=st.sampled_from((None, 0.5, 4.0)),
+        picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=30),
+    )
+    def test_cache_matches_recompute_property(self, seed, n, per_feature, C, picks):
+        ds = make_random_dataset(n, 2, seed)
+        margin = "hard" if C is None else "l2"
+        acc = bind(make_default_family(2, per_feature=per_feature), ds, C=C, margin_mode=margin)
+        state = SolverState.fresh(acc, SolverConfig(eps=0.2, margin=margin, C=C))
+        pos = np.flatnonzero(ds.labels > 0)
+        neg = np.flatnonzero(ds.labels < 0)
+        for a, b in picks:
+            apply_update(state, (int(pos[a % pos.size]), int(neg[b % neg.size])), acc)
+        w_ref, q_ref = recompute_state(state.alpha_bar, acc)
+        assert np.abs(state.w - w_ref).max() <= 1e-12 * max(np.abs(w_ref).max(), 1.0)
         assert np.abs(state.q - q_ref).max() <= 1e-12 * max(np.abs(q_ref).max(), 1.0)
 
     def test_step_width_bound(self):
@@ -259,9 +282,29 @@ class TestTrain:
         fam = make_default_family(2, per_feature=True)
         cfg = SolverConfig(eps=0.35, margin="l2", C=4.0)
         state, _ = train(ds, fam, cfg)
-        v_ref, q_ref = recompute_state(state.alpha_bar, state.accessor)
-        assert np.abs(state.v - v_ref).max() <= 1e-8 * max(np.abs(v_ref).max(), 1.0)
+        w_ref, q_ref = recompute_state(state.alpha_bar, state.accessor)
+        assert np.abs(state.w - w_ref).max() <= 1e-8 * max(np.abs(w_ref).max(), 1.0)
         assert np.abs(state.q - q_ref).max() <= 1e-8 * max(np.abs(q_ref).max(), 1.0)
+
+    def test_non_finite_column_raises_with_iteration(self, monkeypatch):
+        from mklmmwu import NumericalFailure
+        from mklmmwu.kernels import GramAccessor
+
+        original = GramAccessor.signed_columns_all
+        calls = []
+
+        def poisoned(self, j, out=None):
+            block = original(self, j, out=out)
+            calls.append(j)
+            if len(calls) == 7:  # the first column of iteration 4
+                block[:] = np.nan
+            return block
+
+        monkeypatch.setattr(GramAccessor, "signed_columns_all", poisoned)
+        ds = make_random_dataset(12, 2, 14)
+        with pytest.raises(NumericalFailure) as err:
+            train(ds, make_default_family(2), SolverConfig(eps=0.3, margin="l2", C=2.0, max_iters_override=20))
+        assert err.value.iteration == 4
 
     def test_trace_lines(self):
         ds = make_random_dataset(12, 2, 12)
