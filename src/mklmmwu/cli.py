@@ -106,13 +106,6 @@ def _load_dataset(path, n_features=None) -> Dataset:
         return parse_libsvm(fh, n_features=n_features)
 
 
-def _family_for(d, per_feature, kernels):
-    family = make_default_family(d, per_feature=per_feature)
-    if not per_feature and kernels != 12:
-        raise ValueError("only the 12-kernel base family is supported")
-    return family
-
-
 def stratified_folds(labels: np.ndarray, k: int, seed: int):
     """Round-robin per-class assignment: fold class ratios stay within one
     sample of the global ratio. Yields (train_idx, val_idx) pairs."""
@@ -152,11 +145,11 @@ def median_ci(values, confidence=0.95):
     return xs[lo_rank - 1], xs[hi_rank - 1]
 
 
-def _train_once(train_ds, test_ds, per_feature, kernels, eps, margin, C, max_iters, verbose=False):
+def _train_once(train_ds, test_ds, per_feature, eps, margin, C, max_iters, verbose=False):
     """Scale on train only, fit, and report errors on both sides."""
     scaling = fit_scaling(train_ds)
     train_scaled = apply_scaling(train_ds, scaling)
-    family = _family_for(train_ds.d, per_feature, kernels)
+    family = make_default_family(train_ds.d, per_feature=per_feature)
     config = _config_from(eps, margin, C, max_iters)
     t0 = time.perf_counter()
     state, total = train(train_scaled, family, config, trace=sys.stderr if verbose else None)
@@ -193,7 +186,6 @@ def cmd_train(args) -> int:
         train_ds,
         test_ds,
         args.per_feature_kernels,
-        args.kernels,
         args.eps,
         args.margin,
         args.C,
@@ -236,7 +228,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _grid_search(train_ds, eps_grid, c_grid, margin, folds, seed, per_feature, kernels, max_iters):
+def _grid_search(train_ds, eps_grid, c_grid, margin, folds, seed, per_feature, max_iters):
     """Mean stratified-CV error per grid cell; folds missing a class are skipped."""
     fold_idx = stratified_folds(train_ds.labels, folds, seed)
     table = {}
@@ -249,9 +241,7 @@ def _grid_search(train_ds, eps_grid, c_grid, margin, folds, seed, per_feature, k
                 if not fold_train.has_both_classes() or fold_val.n == 0:
                     print("warning: skipping a fold without both classes", file=sys.stderr)
                     continue
-                _, rep = _train_once(
-                    fold_train, fold_val, per_feature, kernels, eps, margin, C, max_iters
-                )
+                _, rep = _train_once(fold_train, fold_val, per_feature, eps, margin, C, max_iters)
                 errors.append(rep.test_error)
             if errors:
                 table[(eps, C)] = sum(errors) / len(errors)
@@ -267,16 +257,14 @@ def _protocol_repeat(payload):
     """One 80/20 repeat of the small-data protocol: CV on the train side,
     retrain at the chosen setting, score the held-out test side."""
     (points, labels, rep_seed, eps_grid, c_grid, margin, folds,
-     per_feature, kernels, train_fraction, max_iters) = payload
+     per_feature, train_fraction, max_iters) = payload
     data = Dataset(points, labels)
     train_ds, test_ds = split(data, train_fraction, rep_seed)
-    table = _grid_search(
-        train_ds, eps_grid, c_grid, margin, folds, rep_seed, per_feature, kernels, max_iters
-    )
+    table = _grid_search(train_ds, eps_grid, c_grid, margin, folds, rep_seed, per_feature, max_iters)
     if not table:
         return None
     eps, C = _select_best(table)
-    _, rep = _train_once(train_ds, test_ds, per_feature, kernels, eps, margin, C, max_iters)
+    _, rep = _train_once(train_ds, test_ds, per_feature, eps, margin, C, max_iters)
     return {"eps": eps, "C": C, "test_error": rep.test_error, "table": table, "T": rep.T,
             "wall_seconds": rep.wall_seconds, "n": rep.n, "m": rep.m}
 
@@ -290,7 +278,6 @@ def run_protocol(
     repeats=1,
     seed=0,
     per_feature=False,
-    kernels=12,
     train_fraction=0.8,
     max_iters=None,
     jobs=1,
@@ -298,7 +285,7 @@ def run_protocol(
     """Repeated 80/20 evaluation with per-repeat CV; returns one record per repeat."""
     payloads = [
         (data.points, data.labels, seed + 7919 * r, tuple(eps_grid), tuple(c_grid),
-         margin, folds, per_feature, kernels, train_fraction, max_iters)
+         margin, folds, per_feature, train_fraction, max_iters)
         for r in range(repeats)
     ]
     if jobs > 1 and repeats > 1:
@@ -322,7 +309,6 @@ def cmd_cv(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
         per_feature=args.per_feature_kernels,
-        kernels=args.kernels,
         train_fraction=args.train_fraction,
         max_iters=args.max_iters,
         jobs=args.jobs,
@@ -360,7 +346,6 @@ def _add_common(p):
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--margin", choices=("hard", "l2"), default="l2")
-    p.add_argument("--kernels", type=int, choices=(12,), default=12)
     p.add_argument("--per-feature-kernels", action="store_true", dest="per_feature_kernels")
     p.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
     p.add_argument("--max-iters", type=int, default=None, dest="max_iters")

@@ -5,7 +5,9 @@ an (m, n) block, without ever materializing an n x n matrix: the block costs
 O(m n) and the whole working set stays O(m n). The block carries no ridge,
 no trace normalizer 1/r_i and no label signs; the solver folds those into
 its O(m) and O(n) vectors, and only the test/oracle helpers assemble the
-signed, regularized G_i = Y (K_i + ridge I) Y / r_i.
+signed, regularized G_i = Y (K_i + ridge I) Y / r_i. The same evaluator
+serves prediction: an accessor over a model's support points writes the
+block against each query point.
 
 One grouped evaluator computes the block. Specs are grouped by (kind,
 feature scope, parameter), and each group's rows are a slice of the block
@@ -243,12 +245,15 @@ class GramAccessor:
     per-column inputs and the calls cached for reused output buffers, so one
     accessor serves one caller at a time.
 
-    `signed_columns_all(j)` returns the (m, n) block whose row i is column j
-    of the raw kernel matrix K_i: kappa_i(x_k, x_j) for every point k, with no
-    ridge, no trace normalizer and no label signs. The solver folds those into
-    its O(m) and O(n) vectors through `labels`, `inv_r` and `ridge`. The
-    signed, regularized, trace-normalized G_i = Y (K_i + ridge I) Y / r_i is
-    assembled from the same block by `signed_column` and `dense_signed_gram`.
+    `columns_at(x)` returns the (m, n) block whose row i is kappa_i(x_k, x)
+    for every point k, with no ridge, no trace normalizer and no label signs.
+    Training asks for the block at its own points, `signed_columns_all(j)`,
+    which is column j of every raw kernel matrix K_i; the solver folds ridge,
+    1/r_i and signs into its O(m) and O(n) vectors through `labels`, `inv_r`
+    and `ridge`. Prediction asks for the block at query points, over the
+    model's support points. The signed, regularized, trace-normalized
+    G_i = Y (K_i + ridge I) Y / r_i is assembled from the same block by
+    `signed_column` and `dense_signed_gram`.
     """
 
     def __init__(self, bound_specs, dataset: Dataset):
@@ -289,14 +294,22 @@ class GramAccessor:
         Despite the name, the block carries no label signs, ridge or 1/r_i;
         `out` enables buffer reuse.
         """
+        return self.columns_at(self._X[j], out, self._half_row_sq[j])
+
+    def columns_at(self, x: np.ndarray, out: np.ndarray | None = None, half_sq=None) -> np.ndarray:
+        """Raw block against an arbitrary point x: out[i, k] = kappa_i(x_k, x).
+
+        `half_sq` is |x|^2 / 2 when the caller has it precomputed.
+        """
         reused = out is not None
         if out is None:
             out = np.empty((self.m, self.n))
-        x = self._X[j]
         if self._dot is not None:
             np.dot(self._X, x, self._dot)  # np.dot: same BLAS call as @, less dispatch
         if self._half_sqd is not None:
-            np.add(self._half_row_sq, self._half_row_sq[j], self._half_sqd)
+            if half_sq is None:
+                half_sq = 0.5 * np.dot(x, x)
+            np.add(self._half_row_sq, half_sq, self._half_sqd)
             np.subtract(self._half_sqd, self._dot, self._half_sqd)
         if self._d2t is not None:
             np.subtract(self._Xt, x[:, None], self._d2t)
@@ -385,58 +398,3 @@ class GramAccessor:
         gram *= 1.0 / self.specs[i].r
         gram *= np.outer(self._y, self._y)
         return gram
-
-
-def combined_kernel_row(specs, coeffs, X_ref: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] * kappa_i(X_ref[k], x) for every reference row k.
-
-    Raw kernel values: no ridge, no label signs. Used by prediction, where
-    coeffs is mu_i / r_i.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    k = X_ref.shape[0]
-    acc = np.zeros(k)
-    ga, pa, gf, pf = [], [], [], []
-    for i, s in enumerate(specs):
-        if coeffs[i] == 0.0:
-            continue
-        if s.kind == "gaussian":
-            (ga if s.feature is None else gf).append(i)
-        else:
-            (pa if s.feature is None else pf).append(i)
-    if ga or pa:
-        dot = X_ref @ x
-    if ga:
-        sqd = np.einsum("ij,ij->i", X_ref, X_ref) + float(x @ x) - 2.0 * dot
-        coef = np.array([-0.5 / specs[i].param ** 2 for i in ga])
-        acc += coeffs[ga] @ np.exp(coef[:, None] * sqd[None, :])
-    if pa:
-        base = dot + 1.0
-        cur = base.copy()
-        degs = [int(specs[i].param) for i in pa]
-        for deg in range(1, max(degs) + 1):
-            for i, spec_deg in zip(pa, degs):
-                if spec_deg == deg:
-                    acc += coeffs[i] * cur
-            if deg < max(degs):
-                cur *= base
-    if gf:
-        feats = np.array([specs[i].feature for i in gf], dtype=np.intp)
-        coef = np.array([-0.5 / specs[i].param ** 2 for i in gf])
-        base = np.square(X_ref[:, feats] - x[feats])
-        base *= coef[None, :]
-        np.exp(base, out=base)
-        acc += base @ coeffs[gf]
-    if pf:
-        feats = np.array([specs[i].feature for i in pf], dtype=np.intp)
-        degs = np.array([int(specs[i].param) for i in pf])
-        base = X_ref[:, feats] * x[feats] + 1.0
-        cur = base.copy()
-        top = int(degs.max())
-        for deg in range(1, top + 1):
-            mask = degs == deg
-            if mask.any():
-                acc += cur[:, mask] @ coeffs[np.array(pf)[mask]]
-            if deg < top:
-                cur *= base
-    return acc

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset, ScalingParams
 from .errors import DegenerateModel, MalformedModel
-from .kernels import KernelSpec, combined_kernel_row
+from .kernels import GramAccessor, KernelSpec
 from .solver import SolverConfig, SolverState, train
 
 _HEADER = "mklmmwu v1"
@@ -108,9 +108,7 @@ def decision_value(model: MklModel, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.d,):
         raise ValueError(f"query has shape {x.shape}, model expects ({model.d},)")
-    coeffs = model.mu * np.array([1.0 / s.r for s in model.specs])
-    row = combined_kernel_row(model.specs, coeffs, model.support_points, x)
-    return float((2.0 * model.support_coefs * model.support_labels) @ row) + model.bias
+    return float(decision_values(model, x[None])[0])
 
 
 def predict(model: MklModel, x) -> int:
@@ -119,57 +117,25 @@ def predict(model: MklModel, x) -> int:
 
 
 def decision_values(model: MklModel, points: np.ndarray) -> np.ndarray:
-    """Decision values for a whole query matrix, batched across kernels."""
+    """Decision values for a whole query matrix.
+
+    The training evaluator, bound to the support points and the kernels with
+    mu > 0, writes the raw (kernels x support) block for each query; the value
+    is one dot product of that block with outer(mu_i / r_i, 2 c_j y_j).
+    """
     Q = np.asarray(points, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != model.d:
         raise ValueError(f"queries have shape {Q.shape}, model expects (*, {model.d})")
-    sv = model.support_points
-    w_sv = 2.0 * model.support_coefs * model.support_labels
-    coeffs = model.mu * np.array([1.0 / s.r for s in model.specs])
-    acc = np.full(Q.shape[0], model.bias)
-    ga, pa, by_feat = [], [], {}
-    for i, s in enumerate(model.specs):
-        if coeffs[i] == 0.0:
-            continue
-        if s.feature is None:
-            (ga if s.kind == "gaussian" else pa).append(i)
-        else:
-            by_feat.setdefault(s.feature, []).append(i)
-    if ga or pa:
-        dot = Q @ sv.T
-    if ga:
-        sqd = (np.einsum("ij,ij->i", Q, Q)[:, None] + np.einsum("ij,ij->i", sv, sv)[None, :]) - 2.0 * dot
-        for i in ga:
-            acc += coeffs[i] * (np.exp((-0.5 / model.specs[i].param ** 2) * sqd) @ w_sv)
-    if pa:
-        base = dot + 1.0
-        cur = base.copy()
-        degs = [int(model.specs[i].param) for i in pa]
-        for deg in range(1, max(degs) + 1):
-            for i, d_i in zip(pa, degs):
-                if d_i == deg:
-                    acc += coeffs[i] * (cur @ w_sv)
-            if deg < max(degs):
-                cur *= base
-    for feat, idxs in by_feat.items():
-        diff = Q[:, feat][:, None] - sv[None, :, feat]
-        d2 = None
-        base = None
-        cur = None
-        for i in idxs:
-            s = model.specs[i]
-            if s.kind == "gaussian":
-                if d2 is None:
-                    d2 = np.square(diff)
-                acc += coeffs[i] * (np.exp((-0.5 / s.param**2) * d2) @ w_sv)
-            else:
-                if base is None:
-                    base = Q[:, feat][:, None] * sv[None, :, feat] + 1.0
-                col = base.copy()
-                for _ in range(int(s.param) - 1):
-                    col *= base
-                acc += coeffs[i] * (col @ w_sv)
-    return acc
+    keep = np.flatnonzero(model.mu > 0.0)
+    acc = GramAccessor([model.specs[i] for i in keep], Dataset(model.support_points, model.support_labels))
+    weights = np.outer(model.mu[keep] * acc.inv_r, 2.0 * model.support_coefs * model.support_labels).ravel()
+    block = np.empty((acc.m, acc.n))
+    flat = block.reshape(-1)
+    vals = np.empty(Q.shape[0])
+    for q, x in enumerate(Q):
+        acc.columns_at(x, block)
+        vals[q] = np.dot(flat, weights)
+    return vals + model.bias
 
 
 def predict_many(model: MklModel, points: np.ndarray) -> np.ndarray:
@@ -313,8 +279,8 @@ def load_model(source) -> MklModel:
         n_support = int(rd.next("n_support")[1])
     except (IndexError, ValueError):
         raise MalformedModel("bad n_support line") from None
-    if n_support < 0:
-        raise MalformedModel(f"n_support must be nonnegative, found {n_support}")
+    if n_support < 1:
+        raise MalformedModel(f"n_support must be positive, found {n_support}")
     bias = _finite(_floats(rd.next("bias")[1:], 1, "bias"), "bias")[0]
 
     specs: list[KernelSpec] = []
@@ -332,8 +298,8 @@ def load_model(source) -> MklModel:
         r = _floats(rd.next("r")[1:], 1, "r")[0]
         ridge = _floats(rd.next("ridge")[1:], 1, "ridge")[0]
         mu = _floats(rd.next("mu")[1:], 1, "mu")[0]
-        if not (math.isfinite(mu) and mu >= 0.0):
-            raise MalformedModel(f"kernel weight mu must be finite and nonnegative, found {mu}")
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise MalformedModel(f"kernel weight mu must be finite and positive, found {mu}")
         try:
             specs.append(KernelSpec(kind, param, feature, r=r, ridge=ridge))
         except ValueError as exc:

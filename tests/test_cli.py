@@ -76,8 +76,7 @@ class TestTrain:
     def test_low_eps_budget_formula(self, tmp_path, capsys):
         data = tmp_path / "d.svm"
         _write_blobs(data, n=25, seed=3)
-        assert main(["train", "--data", str(data), "--kernels", "12",
-                     "--eps", "0.07", "--seed", "1"]) == 0
+        assert main(["train", "--data", str(data), "--eps", "0.07", "--seed", "1"]) == 0
         rep = _report(capsys)
         n_train = int(rep["n"])
         expected = iteration_budget(SolverConfig(eps=0.07), n_train)

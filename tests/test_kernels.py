@@ -11,7 +11,6 @@ from mklmmwu import (
     eval_kernel,
     make_default_family,
 )
-from mklmmwu.kernels import combined_kernel_row
 
 from helpers import make_random_dataset
 
@@ -234,19 +233,3 @@ class TestRawBlock:
         assert all(op.src is None or isinstance(op.src, (int, slice)) for op in acc._plan)
         per_feature = [op.rows for op in gauss if op.feats is not None]
         assert {tuple(range(48)[r]) for r in per_feature} == {tuple(range(3 + k, 48, 12)) for k in range(9)}
-
-
-class TestCombinedRow:
-    def test_matches_explicit_sum(self):
-        rng = np.random.default_rng(8)
-        ds = make_random_dataset(9, 3, 9)
-        fam = make_default_family(3, per_feature=True)[:20] + make_default_family(3)
-        coeffs = rng.random(len(fam))
-        coeffs[3] = 0.0
-        x = rng.random(3)
-        got = combined_kernel_row(fam, coeffs, ds.points, x)
-        want = np.zeros(ds.n)
-        for c, spec in zip(coeffs, fam):
-            for k in range(ds.n):
-                want[k] += c * eval_kernel(spec, ds.points[k], x)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mklmmwu import (
     Dataset,
@@ -10,8 +12,10 @@ from mklmmwu import (
     KernelSpec,
     MalformedModel,
     SolverConfig,
+    bind,
     brute_qcqp,
     decision_value,
+    eval_kernel,
     extract_weights,
     fit,
     load_model,
@@ -197,6 +201,28 @@ class TestPredict:
         scale = max(np.abs(scalar).max(), 1.0)
         assert np.abs(batched - scalar).max() <= 1e-10 * scale
 
+    def test_matches_explicit_sum(self):
+        # mixed scopes, one zero weight, non-ladder bandwidths (plain exp) and
+        # a query coordinate outside [0,1], as scaled eval queries can have
+        rng = np.random.default_rng(8)
+        ds = make_random_dataset(9, 3, 9)
+        fam = make_default_family(3, per_feature=True)[:20] + make_default_family(3)
+        fam += [KernelSpec("gaussian", sigma, f) for sigma in (0.7, 1.3, 2.9) for f in (None, 2)]
+        specs = bind(fam, ds).specs
+        mu = rng.random(len(specs))
+        mu[3] = 0.0
+        coefs = rng.random(ds.n) + 0.1
+        model = MklModel(specs=specs, mu=mu, support_points=ds.points, support_labels=ds.labels,
+                         support_coefs=coefs, bias=0.25, config=SolverConfig(eps=0.4))
+        queries = np.vstack([rng.random((3, 3)), [1.3, -0.2, 0.5]])
+        got = decision_values(model, queries)
+        want = np.full(len(queries), model.bias)
+        for q, x in enumerate(queries):
+            for weight, spec in zip(mu, specs):
+                for k in range(ds.n):
+                    want[q] += weight / spec.r * 2.0 * coefs[k] * ds.labels[k] * eval_kernel(spec, ds.points[k], x)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
     def test_dimension_mismatch(self):
         model = model_from_state(_train_two_point()[0])
         with pytest.raises(ValueError):
@@ -222,6 +248,21 @@ class TestSerialization:
         for _ in range(50):
             x = rng.random(2)
             assert abs(decision_value(model, x) - decision_value(loaded, x)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(6, 14),
+        per_feature=st.booleans(),
+        C=st.sampled_from((None, 0.5, 4.0)),
+    )
+    def test_round_trip_decision_values_bitwise_property(self, seed, n, per_feature, C):
+        margin = "hard" if C is None else "l2"
+        model = fit(make_random_dataset(n, 2, seed), make_default_family(2, per_feature=per_feature),
+                    SolverConfig(eps=0.5, margin=margin, C=C))
+        loaded = load_model(serialize_model(model))
+        queries = np.random.default_rng(seed).uniform(-0.25, 1.25, (12, 2))
+        assert np.array_equal(decision_values(loaded, queries), decision_values(model, queries))
 
     def test_scaling_round_trip(self):
         model = self._model(scaling=True)
@@ -306,6 +347,19 @@ class TestMalformedKernelLines:
     def test_negative_mu(self):
         with pytest.raises(MalformedModel):
             load_model(self._corrupt_first("mu ", lambda line: "mu -5"))
+
+    def test_zero_mu(self):
+        # save_model omits kernels with mu = 0, so a zero weight is never written
+        with pytest.raises(MalformedModel):
+            load_model(self._corrupt_first("mu ", lambda line: "mu 0"))
+
+    def test_empty_support(self):
+        # every fit has support points; without them every query gets sign(bias)
+        lines = [line for line in self._text().splitlines() if not line.startswith("sv ")]
+        k = next(i for i, line in enumerate(lines) if line.startswith("n_support "))
+        lines[k] = "n_support 0"
+        with pytest.raises(MalformedModel):
+            load_model("\n".join(lines) + "\n")
 
     def test_negative_n_support(self):
         with pytest.raises(MalformedModel):
