@@ -6,7 +6,10 @@ new one. `#` starts a comment that runs to end of line; files are UTF-8.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -95,54 +98,73 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     `<label> <index>:<value> ...` with strictly increasing 1-based indices;
     absent indices are zero. The width is the largest index seen, or
     `n_features` when given (it must cover every index in the file).
+
+    A record is split on whitespace and each feature token at its first
+    colon; `map(int, ...)`, `map(float, ...)` and the record checks
+    (indices 1-based and strictly increasing, values finite) run over the whole
+    record in C. A record that fails is walked token by token to report
+    its first fault, so the fast path never decides an error message. One
+    fancy-index assignment fills the dense array.
     """
     text = source.read() if hasattr(source, "read") else source
+    limit = math.inf if n_features is None else n_features
     raw_labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
-    max_index = 0
+    counts: list[int] = []
+    indices: list[int] = []
+    values: list[float] = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw_line.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
-        feats: list[tuple[int, float]] = []
-        prev = 0
-        for tok in tokens[1:]:
-            idx_s, _, val_s = tok.partition(":")
-            if not _:
-                raise ParseError(line_no, f"expected index:value, got {tok!r}")
+        feats = tokens[1:]
+        if feats:
+            idx_s, _, val_s = zip(*map(str.partition, feats, repeat(":")))
             try:
-                idx = int(idx_s)
-                val = float(val_s)
+                idx = list(map(int, idx_s))
+                vals = list(map(float, val_s))
+                ok = all(map(operator.lt, [0, *idx], idx)) and all(map(math.isfinite, vals))
             except ValueError:
-                raise ParseError(line_no, f"bad feature token {tok!r}") from None
-            if idx < 1:
-                raise ParseError(line_no, f"feature index {idx} is not 1-based")
-            if idx <= prev:
-                raise ParseError(line_no, f"feature index {idx} not strictly increasing")
-            if not np.isfinite(val):
-                raise ParseError(line_no, f"non-finite value in {tok!r}")
-            prev = idx
-            feats.append((idx, val))
+                ok = False
+            if not ok:
+                _raise_first_fault(line_no, feats)
+            if idx[-1] > limit:
+                raise ParseError(line_no, f"file uses index {idx[-1]} > n_features={n_features}")
+            indices += idx
+            values += vals
         raw_labels.append(label)
-        rows.append(feats)
-        max_index = max(max_index, prev)
-    if not rows:
+        counts.append(len(feats))
+    if not raw_labels:
         raise EmptyDataset("no data records found")
-    if n_features is not None:
-        if n_features < max_index:
-            raise ParseError(0, f"file uses index {max_index} > n_features={n_features}")
-        max_index = n_features
-    d = max(max_index, 1)
-    points = np.zeros((len(rows), d))
-    for i, feats in enumerate(rows):
-        for idx, val in feats:
-            points[i, idx - 1] = val
+    d = max(max(indices, default=0), 1) if n_features is None else max(n_features, 1)
+    points = np.zeros((len(raw_labels), d))
+    points[np.repeat(np.arange(len(counts)), counts), np.array(indices, dtype=np.intp) - 1] = values
     return Dataset(points, _map_labels(raw_labels))
+
+
+def _raise_first_fault(line_no: int, feats: list[str]) -> None:
+    """Raise the ParseError for the first faulty token of a record that failed
+    a check of `parse_libsvm`, checking each token in turn."""
+    prev = 0
+    for tok in feats:
+        idx_s, colon, val_s = tok.partition(":")
+        if not colon:
+            raise ParseError(line_no, f"expected index:value, got {tok!r}")
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise ParseError(line_no, f"bad feature token {tok!r}") from None
+        if idx < 1:
+            raise ParseError(line_no, f"feature index {idx} is not 1-based")
+        if idx <= prev:
+            raise ParseError(line_no, f"feature index {idx} not strictly increasing")
+        if not math.isfinite(val):
+            raise ParseError(line_no, f"non-finite value in {tok!r}")
+        prev = idx
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset, ScalingParams
 from .errors import DegenerateModel, MalformedModel
-from .kernels import GramAccessor, KernelSpec
+from .kernels import GramAccessor, KernelSpec, group_order
 from .solver import SolverConfig, SolverState, train
 
 _HEADER = "mklmmwu v1"
@@ -121,12 +121,15 @@ def decision_values(model: MklModel, points: np.ndarray) -> np.ndarray:
 
     The training evaluator, bound to the support points and the kernels with
     mu > 0, writes the raw (kernels x support) block for each query; the value
-    is one dot product of that block with outer(mu_i / r_i, 2 c_j y_j).
+    is one dot product of that block with outer(mu_i / r_i, 2 c_j y_j). The
+    kernels are bound in evaluator group order (`kernels.group_order`), so
+    each evaluator step reads and writes contiguous rows, and the weights are
+    permuted alike; `model.specs` and `mu` keep their order.
     """
     Q = np.asarray(points, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != model.d:
         raise ValueError(f"queries have shape {Q.shape}, model expects (*, {model.d})")
-    keep = np.flatnonzero(model.mu > 0.0)
+    keep = [i for i in group_order(model.specs) if model.mu[i] > 0.0]
     acc = GramAccessor([model.specs[i] for i in keep], Dataset(model.support_points, model.support_labels))
     weights = np.outer(model.mu[keep] * acc.inv_r, 2.0 * model.support_coefs * model.support_labels).ravel()
     block = np.empty((acc.m, acc.n))

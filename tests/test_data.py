@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mklmmwu import (
     Dataset,
@@ -62,6 +64,48 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_libsvm("+1 4:1\n-1 1:1", n_features=3)
 
+    def test_index_past_n_features_reports_its_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_libsvm("+1 1:1 3:1\n-1 4:1\n+1 5:1", n_features=3)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("+1 1: 2", "line 1: bad feature token '1:'"),
+            ("+1 1:2:3", "line 1: bad feature token '1:2:3'"),
+            ("+1 5", "line 1: expected index:value, got '5'"),
+            ("+1 :2", "line 1: bad feature token ':2'"),
+            ("+1 a:1", "line 1: bad feature token 'a:1'"),
+            ("+1 1:nan", "line 1: non-finite value in '1:nan'"),
+            ("+1 1:inf 2:x", "line 1: non-finite value in '1:inf'"),
+            ("+1 1:1e400", "line 1: non-finite value in '1:1e400'"),
+            ("+1 0:1", "line 1: feature index 0 is not 1-based"),
+            ("+1 -1:2", "line 1: feature index -1 is not 1-based"),
+            ("+1 2:1 2:2", "line 1: feature index 2 not strictly increasing"),
+            ("+1 2:1 1:x", "line 1: bad feature token '1:x'"),
+            ("x 1:1", "line 1: bad label 'x'"),
+            ("+1 1:1\n\n-1 1:2 1:3", "line 3: feature index 1 not strictly increasing"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, points",
+        [
+            ("+1\n-1 2:1", [[0.0, 0.0], [0.0, 1.0]]),  # a label-only record
+            ("+1\t1:0.5\r\n-1\t2:1\r\n", [[0.5, 0.0], [0.0, 1.0]]),
+            ("+1 01:1\n-1 2:1", [[1.0, 0.0], [0.0, 1.0]]),
+            ("+1 1:1 # c\n-1 2:3#x:y", [[1.0, 0.0], [0.0, 3.0]]),
+        ],
+    )
+    def test_accepted_records(self, text, points):
+        ds = parse_libsvm(text)
+        assert np.array_equal(ds.points, points)
+        assert np.array_equal(ds.labels, [1.0, -1.0])
+
     def test_parse_serialize_parse_idempotent(self):
         text = "+1 1:0.5 3:1.0\n-1 2:0.25\n+1 1:0.125\n"
         first = parse_libsvm(text)
@@ -69,6 +113,32 @@ class TestParse:
         assert np.array_equal(first.points, second.points)
         assert np.array_equal(first.labels, second.labels)
         assert serialize_libsvm(first) == serialize_libsvm(second)
+
+
+# about 30% exact zeros; the rest any finite double, subnormals, -0.0 and
+# the extremes included
+_cells = st.tuples(st.integers(0, 9), st.floats(allow_nan=False, allow_infinity=False)).map(
+    lambda t: 0.0 if t[0] < 3 else t[1]
+)
+
+
+@st.composite
+def _datasets(draw):
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    points = draw(st.lists(_cells, min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+    return Dataset(np.array(points).reshape(n, d), np.array(labels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_datasets())
+def test_serialize_parse_round_trip_property(ds):
+    # value equality: -0.0 is omitted as zero and comes back as 0.0
+    text = serialize_libsvm(ds)
+    back = parse_libsvm(text, n_features=ds.d)
+    assert np.array_equal(back.points, ds.points)
+    assert np.array_equal(back.labels, ds.labels)
+    assert serialize_libsvm(back) == text
 
 
 class TestDatasetInvariants:

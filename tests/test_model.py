@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -25,7 +26,9 @@ from mklmmwu import (
     serialize_model,
     train,
 )
+from mklmmwu import model as model_module
 from mklmmwu.data import ScalingParams
+from mklmmwu.kernels import GramAccessor
 from mklmmwu.model import MklModel, compute_bias, decision_values, error_rate, save_model
 
 from helpers import dense_grams, make_blobs, make_random_dataset, mixed_saddle_instance
@@ -227,6 +230,51 @@ class TestPredict:
         model = model_from_state(_train_two_point()[0])
         with pytest.raises(ValueError):
             decision_value(model, [0.1, 0.2])
+
+
+class TestPredictionOrder:
+    """decision_values binds the kept kernels in evaluator group order."""
+
+    def test_shuffled_specs_give_the_same_values(self):
+        ds = make_random_dataset(20, 3, 31)
+        family = make_default_family(3, per_feature=True) + make_default_family(3)
+        model = fit(ds, family, SolverConfig(eps=0.4, margin="l2", C=2.0))
+        perm = np.random.default_rng(32).permutation(len(model.specs))
+        shuffled = dataclasses.replace(model, specs=tuple(model.specs[i] for i in perm), mu=model.mu[perm])
+        queries = np.random.default_rng(33).uniform(-0.25, 1.25, (20, 3))
+        want = decision_values(model, queries)
+        assert np.abs(decision_values(shuffled, queries) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_full_family_plan_is_contiguous(self, monkeypatch):
+        # every kernel of both default families kept, listed in family order
+        # (per-feature rung k on rows 3+k::12): the prediction plan still
+        # reads and writes single rows or step-1 slices, with one exp per scope
+        bound = []
+
+        class Spy(GramAccessor):
+            def __init__(self, specs, dataset):
+                super().__init__(specs, dataset)
+                bound.append(self)
+
+        monkeypatch.setattr(model_module, "GramAccessor", Spy)
+        rng = np.random.default_rng(34)
+        ds = make_random_dataset(10, 4, 35)
+        specs = bind(make_default_family(4, per_feature=True) + make_default_family(4), ds).specs
+        model = MklModel(specs=specs, mu=rng.random(len(specs)) + 0.1, support_points=ds.points,
+                         support_labels=ds.labels, support_coefs=rng.random(ds.n) + 0.1, bias=-0.3,
+                         config=SolverConfig(eps=0.4))
+        decision_values(model, rng.random((2, 4)))
+        (acc,) = bound
+        assert acc.m == len(specs)
+
+        def contiguous(idx):
+            return isinstance(idx, int) or isinstance(idx, slice) and idx.step == 1
+
+        assert all(contiguous(op.rows) for op in acc._plan)
+        assert all(op.src is None or contiguous(op.src) for op in acc._plan)
+        assert all(op.feats is None or contiguous(op.feats) for op in acc._plan)
+        roots = [op.feats is None for op in acc._plan if op.gaussian and op.src is None]
+        assert sorted(roots) == [False, True]
 
 
 class TestSerialization:
