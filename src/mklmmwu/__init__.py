@@ -37,85 +37,26 @@ from .kernels import (
 from .model import (
     MklModel,
     compute_bias,
-    decision_value,
     decision_values,
     error_rate,
     extract_weights,
     fit,
     load_model,
-    load_model_from_path,
     model_from_state,
     predict,
-    predict_many,
     save_model,
-    save_model_to_path,
     serialize_model,
 )
 from .oracle import BruteResult, brute_qcqp, dense_expm, recompute_state
 from .solver import (
-    DualUpdate,
     SolverConfig,
     SolverState,
     apply_update,
     arrow_exp,
     exponentiate_m,
-    find_alpha,
+    find_pair,
     iteration_budget,
     train,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Dataset",
-    "ScalingParams",
-    "parse_libsvm",
-    "serialize_libsvm",
-    "fit_scaling",
-    "apply_scaling",
-    "split",
-    "KernelSpec",
-    "GramAccessor",
-    "GAUSSIAN_BANDWIDTHS",
-    "POLYNOMIAL_DEGREES",
-    "eval_kernel",
-    "make_default_family",
-    "bind",
-    "SolverConfig",
-    "SolverState",
-    "DualUpdate",
-    "iteration_budget",
-    "find_alpha",
-    "apply_update",
-    "exponentiate_m",
-    "arrow_exp",
-    "train",
-    "MklModel",
-    "extract_weights",
-    "compute_bias",
-    "model_from_state",
-    "fit",
-    "predict",
-    "predict_many",
-    "decision_value",
-    "decision_values",
-    "error_rate",
-    "save_model",
-    "save_model_to_path",
-    "serialize_model",
-    "load_model",
-    "load_model_from_path",
-    "BruteResult",
-    "dense_expm",
-    "brute_qcqp",
-    "recompute_state",
-    "MklError",
-    "ParseError",
-    "EmptyDataset",
-    "NonBinaryLabels",
-    "OneClassSplit",
-    "InfeasibleDual",
-    "NumericalFailure",
-    "DegenerateModel",
-    "MalformedModel",
-]

@@ -21,13 +21,7 @@ import numpy as np
 from .data import Dataset, apply_scaling, fit_scaling, parse_libsvm, split
 from .errors import MklError, NumericalFailure
 from .kernels import make_default_family
-from .model import (
-    error_rate,
-    load_model_from_path,
-    model_from_state,
-    predict_many,
-    save_model_to_path,
-)
+from .model import error_rate, load_model, model_from_state, save_model
 from .solver import SolverConfig, train
 
 EXIT_OK = 0
@@ -92,15 +86,6 @@ class RunReport:
             writer.writerow([v for _, v in pairs])
 
 
-def _config_from(eps, margin, C, max_iters=None) -> SolverConfig:
-    return SolverConfig(
-        eps=eps,
-        margin=margin,
-        C=C if margin == "l2" else None,
-        max_iters_override=max_iters,
-    )
-
-
 def _load_dataset(path, n_features=None) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_libsvm(fh, n_features=n_features)
@@ -150,7 +135,7 @@ def _train_once(train_ds, test_ds, per_feature, eps, margin, C, max_iters, verbo
     scaling = fit_scaling(train_ds)
     train_scaled = apply_scaling(train_ds, scaling)
     family = make_default_family(train_ds.d, per_feature=per_feature)
-    config = _config_from(eps, margin, C, max_iters)
+    config = SolverConfig(eps=eps, margin=margin, C=C if margin == "l2" else None, max_iters_override=max_iters)
     t0 = time.perf_counter()
     state, total = train(train_scaled, family, config, trace=sys.stderr if verbose else None)
     model = model_from_state(state, scaling=scaling)
@@ -194,7 +179,8 @@ def cmd_train(args) -> int:
     )
     report.dataset = os.path.basename(args.data)
     if args.out:
-        save_model_to_path(model, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            save_model(model, fh)
     report.print()
     if args.csv:
         report.append_csv(args.csv)
@@ -202,13 +188,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model_from_path(args.model)
+    with open(args.model, "r", encoding="utf-8") as fh:
+        model = load_model(fh)
     data = _load_dataset(args.data, n_features=model.d)
-    if data.d != model.d:
-        raise MklError(f"data has {data.d} features, model expects {model.d}")
     if model.scaling is not None:
         data = apply_scaling(data, model.scaling)
-    wrong = int((predict_many(model, data.points) != data.labels).sum())
     report = RunReport(
         dataset=os.path.basename(args.data),
         n=data.n,
@@ -219,7 +203,7 @@ def cmd_eval(args) -> int:
         margin=model.config.margin,
         T=0,
         wall_seconds=0.0,
-        test_error=wrong / data.n,
+        test_error=error_rate(model, data),
         active_kernels=int((model.mu > 1e-6).sum()),
     )
     report.print()

@@ -104,7 +104,8 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     (indices 1-based and strictly increasing, values finite) run over the whole
     record in C. A record that fails is walked token by token to report
     its first fault, so the fast path never decides an error message. One
-    fancy-index assignment fills the dense array.
+    fancy-index assignment fills the dense array; a width too large to
+    allocate raises ParseError at the first line that uses the largest index.
     """
     text = source.read() if hasattr(source, "read") else source
     limit = math.inf if n_features is None else n_features
@@ -112,6 +113,7 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     counts: list[int] = []
     indices: list[int] = []
     values: list[float] = []
+    top = top_line = 0  # largest index and the first line that uses it
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         tokens = raw_line.partition("#")[0].split()
         if not tokens:
@@ -133,14 +135,21 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
                 _raise_first_fault(line_no, feats)
             if idx[-1] > limit:
                 raise ParseError(line_no, f"file uses index {idx[-1]} > n_features={n_features}")
+            if idx[-1] > top:
+                top, top_line = idx[-1], line_no
             indices += idx
             values += vals
         raw_labels.append(label)
         counts.append(len(feats))
     if not raw_labels:
         raise EmptyDataset("no data records found")
-    d = max(max(indices, default=0), 1) if n_features is None else max(n_features, 1)
-    points = np.zeros((len(raw_labels), d))
+    d = max(top, 1) if n_features is None else max(n_features, 1)
+    try:
+        points = np.zeros((len(raw_labels), d))
+    except MemoryError:
+        raise ParseError(
+            top_line, f"a dense {len(raw_labels)} x {d} array (largest index {top}) cannot be allocated"
+        ) from None
     points[np.repeat(np.arange(len(counts)), counts), np.array(indices, dtype=np.intp) - 1] = values
     return Dataset(points, _map_labels(raw_labels))
 

@@ -1,4 +1,10 @@
-"""Kernel-weight extraction, the deployable classifier, and its file format."""
+"""Kernel-weight extraction, the deployable classifier, and its file format.
+
+Prediction is batched: `decision_values` and `predict` take a query matrix,
+one point per row. `save_model` and `load_model` read and write text or an
+open file; `load_model` raises MalformedModel for any file it cannot use and
+sizes its arrays from the records it parsed, never from a header count.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ import numpy as np
 from .data import Dataset, ScalingParams
 from .errors import DegenerateModel, MalformedModel
 from .kernels import GramAccessor, KernelSpec, group_order
-from .solver import SolverConfig, SolverState, train
+from .solver import MIN_QUADFORM, SolverConfig, SolverState, train
 
 _HEADER = "mklmmwu v1"
 
@@ -48,16 +54,15 @@ def extract_weights(state: SolverState) -> np.ndarray:
     """Kernel weights mu_i = |2 p12_i| / sqrt(qhat_i), rescaled so that
     sum_i mu_i qhat_i = 1 (qhat is the quadform under the normalized dual).
 
-    Kernels whose qhat sits below the quadform floor get weight 0; if that
-    kills every kernel the model is degenerate.
+    Kernels whose qhat sits below MIN_QUADFORM get weight 0; if that kills
+    every kernel the model is degenerate.
     """
     if state.t < 1:
         raise ValueError("solver state has no completed iterations")
     t = float(state.t)
     qhat = state.q / (t * t)
-    delta = state.config.min_quadform
     mu = np.zeros(state.q.shape[0])
-    keep = qhat >= delta
+    keep = qhat >= MIN_QUADFORM
     mu[keep] = np.abs(2.0 * state.p12[keep]) / np.sqrt(qhat[keep])
     total = float(mu @ qhat)
     if not total > 0.0:
@@ -66,7 +71,7 @@ def extract_weights(state: SolverState) -> np.ndarray:
     return mu
 
 
-def compute_bias(state: SolverState, accessor, mu: np.ndarray) -> float:
+def compute_bias(state: SolverState, mu: np.ndarray) -> float:
     """Bias of the perpendicular bisector between the two class hull points.
 
     b = (|p_minus|^2 - |p_plus|^2) / 2 in the mu-weighted regularized kernel
@@ -77,12 +82,12 @@ def compute_bias(state: SolverState, accessor, mu: np.ndarray) -> float:
     pick counts: O(m n), with no kernel column.
     """
     t = float(state.t)
-    return -1.0 / (t * t) * float((mu * accessor.inv_r) @ (state.w @ state.alpha_bar))
+    return -1.0 / (t * t) * float((mu * state.accessor.inv_r) @ (state.w @ state.alpha_bar))
 
 
 def model_from_state(state: SolverState, scaling: ScalingParams | None = None) -> MklModel:
     mu = extract_weights(state)
-    bias = compute_bias(state, state.accessor, mu)
+    bias = compute_bias(state, mu)
     sv = np.flatnonzero(state.alpha_bar > 0.0)
     t = float(state.t)
     return MklModel(
@@ -101,19 +106,6 @@ def fit(dataset: Dataset, specs, config: SolverConfig, scaling: ScalingParams | 
     """Train on a scaled dataset and return the deployable classifier."""
     state, _ = train(dataset, specs, config, trace=trace)
     return model_from_state(state, scaling=scaling)
-
-
-def decision_value(model: MklModel, x) -> float:
-    """f(x) = sum_j 2 c_j y_j kappa_mu(x_j, x) + b with kappa_mu = sum_i mu_i kappa_i / r_i."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.d,):
-        raise ValueError(f"query has shape {x.shape}, model expects ({model.d},)")
-    return float(decision_values(model, x[None])[0])
-
-
-def predict(model: MklModel, x) -> int:
-    """Label sign of the decision value; exact zero maps to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
 
 
 def decision_values(model: MklModel, points: np.ndarray) -> np.ndarray:
@@ -141,13 +133,14 @@ def decision_values(model: MklModel, points: np.ndarray) -> np.ndarray:
     return vals + model.bias
 
 
-def predict_many(model: MklModel, points: np.ndarray) -> np.ndarray:
-    vals = decision_values(model, points)
-    return np.where(vals >= 0.0, 1.0, -1.0)
+def predict(model: MklModel, points: np.ndarray) -> np.ndarray:
+    """Labels (-1.0 or +1.0) for a query matrix; a decision value of exactly
+    zero maps to +1."""
+    return np.where(decision_values(model, points) >= 0.0, 1.0, -1.0)
 
 
 def error_rate(model: MklModel, dataset: Dataset) -> float:
-    wrong = int((predict_many(model, dataset.points) != dataset.labels).sum())
+    wrong = int((predict(model, dataset.points) != dataset.labels).sum())
     return wrong / dataset.n
 
 
@@ -188,11 +181,6 @@ def save_model(model: MklModel, sink) -> None:
     for x, y, c in zip(model.support_points, model.support_labels, model.support_coefs):
         coords = " ".join(_fmt(v) for v in x)
         w(f"sv {'+1' if y > 0 else '-1'} {_fmt(c)} {coords}\n")
-
-
-def save_model_to_path(model: MklModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        save_model(model, fh)
 
 
 def serialize_model(model: MklModel) -> str:
@@ -257,7 +245,7 @@ def load_model(source) -> MklModel:
     header = rd.next()
     if " ".join(header) != _HEADER:
         raise MalformedModel(f"unsupported model header {' '.join(header)!r}")
-    margin = rd.next("margin")[1]
+    margin = " ".join(rd.next("margin")[1:])
     if margin not in ("hard", "l2"):
         raise MalformedModel(f"unknown margin mode {margin!r}")
     C = _floats(rd.next("C")[1:], 1, "C")[0] if margin == "l2" else None
@@ -311,22 +299,19 @@ def load_model(source) -> MklModel:
     if not specs:
         raise MalformedModel("model carries no kernels")
 
-    pts = np.zeros((n_support, dim))
-    labels = np.zeros(n_support)
-    coefs = np.zeros(n_support)
-    for k in range(n_support):
-        parts = rd.next("sv")
-        vals = _finite(_floats(parts[1:], dim + 2, "sv"), "sv")
+    # rows come from the sv records, so no header count sizes an allocation
+    rows = []
+    for _ in range(n_support):
+        vals = _finite(_floats(rd.next("sv")[1:], dim + 2, "sv"), "sv")
         if vals[0] not in (-1.0, 1.0):
             raise MalformedModel(f"support label must be -1 or +1, found {vals[0]}")
         if not vals[1] > 0.0:
             raise MalformedModel(f"support coefficient must be positive, found {vals[1]}")
-        labels[k] = vals[0]
-        coefs[k] = vals[1]
-        pts[k] = vals[2:]
+        rows.append(vals)
     trailing = rd.peek()
     if trailing is not None:
         raise MalformedModel(f"unexpected trailing record {trailing!r}")
+    sv = np.array(rows)
     try:
         config = SolverConfig(eps=eps, rho=rho, margin=margin, C=C, quash_threshold=quash)
     except ValueError as exc:
@@ -334,15 +319,10 @@ def load_model(source) -> MklModel:
     return MklModel(
         specs=tuple(specs),
         mu=np.array(mus),
-        support_points=pts,
-        support_labels=labels,
-        support_coefs=coefs,
+        support_points=np.ascontiguousarray(sv[:, 2:]),
+        support_labels=sv[:, 0].copy(),
+        support_coefs=sv[:, 1].copy(),
         bias=bias,
         config=config,
         scaling=scaling,
     )
-
-
-def load_model_from_path(path) -> MklModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh)

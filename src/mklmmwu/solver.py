@@ -25,12 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleDual, NumericalFailure
 from .kernels import GramAccessor, bind
+
+#: Quadform floor. A kernel whose sqrt(q_i) (in `exponentiate_m`) or whose
+#: qhat_i = q_i / t^2 (in `model.extract_weights`) sits below it counts as
+#: zero: it adds nothing to g and gets weight 0.
+MIN_QUADFORM = 1e-12
 
 
 @dataclass
@@ -50,7 +54,6 @@ class SolverConfig:
     C: float | None = None
     quash_threshold: float = 20.0
     max_iters_override: int | None = None
-    min_quadform: float = 1e-12
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -71,14 +74,6 @@ class SolverConfig:
     @property
     def eps_prime(self) -> float:
         return -math.log1p(-self.eps / (2.0 * self.rho))
-
-
-class DualUpdate(NamedTuple):
-    """One sparse dual step: coordinate j_plus (label +1) and j_minus (label -1)
-    each receive mass 1/2, so the step sums to 1 and is label-balanced."""
-
-    j_plus: int
-    j_minus: int
 
 
 @dataclass
@@ -144,33 +139,24 @@ def iteration_budget(config: SolverConfig, n: int) -> int:
     return int(math.ceil((8.0 * config.rho**2 / config.eps**2) * math.log(n)))
 
 
-def _find_pair(g: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray) -> tuple[int, int]:
-    """Highest-violation point of each class; argmax takes the first maximum."""
+def find_pair(g: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray) -> tuple[int, int]:
+    """Highest-violation point of each class, as (j_plus, j_minus) indices
+    into g; argmax takes the first maximum, so ties break toward the lowest
+    index."""
     return int(pos_idx[g[pos_idx].argmax()]), int(neg_idx[g[neg_idx].argmax()])
 
 
-def find_alpha(g: np.ndarray, labels: np.ndarray) -> DualUpdate:
-    """Pick the highest-violation point of each class from g; ties break
-    toward the lowest index."""
-    g = np.asarray(g, dtype=np.float64)
-    pos_idx = np.flatnonzero(labels > 0)
-    neg_idx = np.flatnonzero(labels < 0)
-    if pos_idx.size == 0 or neg_idx.size == 0:
-        raise InfeasibleDual("both label classes are required")
-    return DualUpdate(*_find_pair(g, pos_idx, neg_idx))
+def apply_update(state: SolverState, jp: int, jm: int) -> SolverState:
+    """One dual step: add 1/2 to coordinates jp and jm, refresh w and q.
 
-
-def apply_update(state: SolverState, update, accessor: GramAccessor) -> SolverState:
-    """Add 1/2 to both chosen coordinates and refresh w and q incrementally.
-
-    `update` is a DualUpdate or a plain (j_plus, j_minus) pair; j_plus must
-    carry label +1 and j_minus label -1, which the update formulas in the
-    module docstring assume. Cost is O(m n) plus one raw kernel column per
-    kernel and chosen point. The q update reads w before w moves.
+    jp must carry label +1 and jm label -1, which the update formulas in the
+    module docstring assume; the step sums to 1 and is label-balanced. The
+    columns come from `state.accessor`. Cost is O(m n) plus one raw kernel
+    column per kernel and chosen point. The q update reads w before w moves.
     """
-    jp, jm = update
-    kp = accessor.signed_columns_all(jp, out=state._col_plus)
-    km = accessor.signed_columns_all(jm, out=state._col_minus)
+    acc = state.accessor
+    kp = acc.signed_columns_all(jp, out=state._col_plus)
+    km = acc.signed_columns_all(jm, out=state._col_minus)
     w = state.w
     np.subtract(kp, km, out=kp)
     # K_i is symmetric, so K[jp,jp] + K[jm,jm] - 2 K[jp,jm] is a difference
@@ -186,37 +172,33 @@ def apply_update(state: SolverState, update, accessor: GramAccessor) -> SolverSt
     np.maximum(state._step_quad_max, step_quad, out=state._step_quad_max)
     w += kp
     if state._two_ridge is not None:
-        w[:, jp] += accessor.ridge
-        w[:, jm] -= accessor.ridge
+        w[:, jp] += acc.ridge
+        w[:, jm] -= acc.ridge
     state.alpha_bar[jp] += 0.5
     state.alpha_bar[jm] += 0.5
     state.t += 1
     return state
 
 
-def exponentiate_m(
-    state: SolverState,
-    eps_prime: float,
-    rho: float,
-    quash_threshold: float = 20.0,
-    min_quadform: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
+def exponentiate_m(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form primal refresh: per-kernel cosh/sinh coefficients and g.
 
-    Per kernel, s_i = (eps'/(2 rho)) sqrt(q_i). Below the quash threshold the
-    exact cosh/sinh pair is used; above it both are replaced by exp shifted
-    down by max_k s_k, with the shift recorded in e_m so the trace normalizer
+    eps', rho and the quash threshold come from `state.config`. Per kernel,
+    s_i = (eps'/(2 rho)) sqrt(q_i). Below the quash threshold the exact
+    cosh/sinh pair is used; above it both are replaced by exp shifted down by
+    max_k s_k, with the shift recorded in e_m so the trace normalizer
     S = m (n-1) e_m + 2 sum_i p11_i stays in consistent units. The sinh block
     carries a minus sign, which points g toward margin violators. Kernels
-    whose quadform sits below min_quadform contribute nothing to g, which is
+    whose sqrt(q_i) sits below MIN_QUADFORM contribute nothing to g, which is
     read from the raw cache as in the module docstring.
     """
     acc = state.accessor
+    config = state.config
     m, n = state.w.shape
     u_raw = np.sqrt(np.maximum(state.q, 0.0))
-    s = (eps_prime / (2.0 * rho)) * u_raw
+    s = (config.eps_prime / (2.0 * config.rho)) * u_raw
     s_max = float(np.maximum.reduce(s))
-    if s_max < quash_threshold:
+    if s_max < config.quash_threshold:
         p11 = np.cosh(s)
         p12 = np.sinh(s)
         e_m = 1.0
@@ -225,7 +207,7 @@ def exponentiate_m(
         p12 = p11.copy()
         e_m = math.exp(-s_max)
     p12 /= -(m * (n - 1) * e_m + 2.0 * float(np.add.reduce(p11)))
-    coef = np.divide(p12, u_raw, out=np.zeros(m), where=u_raw >= min_quadform)
+    coef = np.divide(p12, u_raw, out=np.zeros(m), where=u_raw >= MIN_QUADFORM)
     coef *= acc.inv_r
     g = np.dot(coef, state.w)  # np.dot: same BLAS call as @, less dispatch
     g *= acc.labels
@@ -284,30 +266,23 @@ def train(dataset, specs, config: SolverConfig, trace=None) -> tuple[SolverState
     accessor = bind(specs, dataset, C=config.C, margin_mode=config.margin)
     total = iteration_budget(config, dataset.n)
     state = SolverState.fresh(accessor, config)
-    eps_prime = config.eps_prime
     for t in range(1, total + 1):
         g = state.g
-        update = _find_pair(g, pos_idx, neg_idx)
-        oracle_value = 0.5 * float(g[update[0]] + g[update[1]])
+        jp, jm = find_pair(g, pos_idx, neg_idx)
+        oracle_value = 0.5 * float(g[jp] + g[jm])
         if not math.isfinite(oracle_value):
             # argmax takes a NaN or +inf of either class, so the g of the
             # previous iteration was not finite
             raise NumericalFailure(t - 1)
         if oracle_value < state.min_oracle_value:
             state.min_oracle_value = oracle_value
-        apply_update(state, update, accessor)
-        exponentiate_m(
-            state,
-            eps_prime,
-            config.rho,
-            quash_threshold=config.quash_threshold,
-            min_quadform=config.min_quadform,
-        )
+        apply_update(state, jp, jm)
+        exponentiate_m(state)
         if not math.isfinite(state.last_s_max):  # NaN or infinite exactly when q is
             raise NumericalFailure(t)
         if trace is not None:
             trace.write(
-                f"iter={t} j_plus={update[0]} j_minus={update[1]} "
+                f"iter={t} j_plus={jp} j_minus={jm} "
                 f"s_max={state.last_s_max:.6g} oracle_value={oracle_value:.6g}\n"
             )
     if not np.isfinite(state.g).all():

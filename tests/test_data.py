@@ -68,6 +68,12 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_libsvm("+1 1:1 3:1\n-1 4:1\n+1 5:1", n_features=3)
 
+    def test_unallocatable_width_names_the_first_line_with_the_largest_index(self):
+        # a 3 x 99999999999 dense array needs 2.2 TiB, more than any test host
+        # can allocate; the error names line 2, not the repeat on line 3
+        with pytest.raises(ParseError, match="line 2: .*largest index 99999999999"):
+            parse_libsvm("+1 1:1\n-1 99999999999:1\n+1 5:1 99999999999:2")
+
     @pytest.mark.parametrize(
         "text, message",
         [

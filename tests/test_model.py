@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mklmmwu import (
@@ -15,7 +16,6 @@ from mklmmwu import (
     SolverConfig,
     bind,
     brute_qcqp,
-    decision_value,
     eval_kernel,
     extract_weights,
     fit,
@@ -108,7 +108,7 @@ class TestBias:
     def test_symmetric_two_point_bias_is_zero(self):
         state, _ = _train_two_point()
         mu = extract_weights(state)
-        assert compute_bias(state, state.accessor, mu) == pytest.approx(0.0, abs=1e-12)
+        assert compute_bias(state, mu) == pytest.approx(0.0, abs=1e-12)
 
     def test_bisector_sign_follows_hull_norms(self):
         # 1-d linear kernel: bias is negative when the positive hull point
@@ -119,7 +119,7 @@ class TestBias:
             cfg = SolverConfig(eps=0.2, margin="hard", max_iters_override=30)
             state, _ = train(ds, [KernelSpec("poly", 1.0)], cfg)
             mu = extract_weights(state)
-            bias = compute_bias(state, state.accessor, mu)
+            bias = compute_bias(state, mu)
             assert math.copysign(1.0, bias) == sign
 
     @pytest.mark.parametrize("per_feature", [False, True])
@@ -140,20 +140,20 @@ class TestBias:
         norm_plus = float(c_plus @ g_mu @ c_plus)
         norm_minus = float(c_minus @ g_mu @ c_minus)
         want = 0.5 * (norm_minus - norm_plus)
-        got = compute_bias(state, acc, mu)
+        got = compute_bias(state, mu)
         assert abs(got - want) <= 1e-12 * max(norm_plus, norm_minus)
 
     def test_midpoint_is_on_the_boundary(self):
         model = model_from_state(_train_two_point()[0])
-        assert decision_value(model, [0.5]) == pytest.approx(0.0, abs=1e-12)
-        assert predict(model, [0.5]) == 1  # exact zero resolves to +1
+        assert decision_values(model, [[0.5]])[0] == pytest.approx(0.0, abs=1e-12)
+        assert predict(model, [[0.5]])[0] == 1  # exact zero resolves to +1
 
 
 class TestPredict:
     def test_dominant_support_point(self):
         model = model_from_state(_train_two_point()[0])
-        assert predict(model, [0.0]) == 1
-        assert predict(model, [1.0]) == -1
+        assert predict(model, [[0.0]])[0] == 1
+        assert predict(model, [[1.0]])[0] == -1
 
     def test_joint_rescale_keeps_labels(self):
         state, _ = train(
@@ -171,10 +171,8 @@ class TestPredict:
             bias=model.bias * 3.7,
             config=model.config,
         )
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            x = rng.random(2)
-            assert predict(model, x) == predict(scaled, x)
+        queries = np.random.default_rng(3).random((25, 2))
+        assert np.array_equal(predict(model, queries), predict(scaled, queries))
 
     def test_separable_blobs_fit_perfectly(self):
         ds = make_blobs(12, seed=4)
@@ -200,7 +198,7 @@ class TestPredict:
         model = fit(ds, make_default_family(3, per_feature=True), SolverConfig(eps=0.4, margin="l2", C=2.0))
         queries = np.random.default_rng(7).random((15, 3))
         batched = decision_values(model, queries)
-        scalar = np.array([decision_value(model, x) for x in queries])
+        scalar = np.array([decision_values(model, x[None])[0] for x in queries])
         scale = max(np.abs(scalar).max(), 1.0)
         assert np.abs(batched - scalar).max() <= 1e-10 * scale
 
@@ -229,7 +227,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         model = model_from_state(_train_two_point()[0])
         with pytest.raises(ValueError):
-            decision_value(model, [0.1, 0.2])
+            decision_values(model, [[0.1, 0.2]])
 
 
 class TestPredictionOrder:
@@ -292,10 +290,8 @@ class TestSerialization:
     def test_round_trip_decision_values(self):
         model = self._model(scaling=False)
         loaded = load_model(serialize_model(model))
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            x = rng.random(2)
-            assert abs(decision_value(model, x) - decision_value(loaded, x)) <= 1e-12
+        queries = np.random.default_rng(9).random((50, 2))
+        assert np.abs(decision_values(model, queries) - decision_values(loaded, queries)).max() <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -332,10 +328,8 @@ class TestSerialization:
         docked.mu[2] = 0.0
         loaded = load_model(serialize_model(docked))
         assert len(loaded.specs) == len(model.specs) - 1
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            x = rng.random(2)
-            assert abs(decision_value(docked, x) - decision_value(loaded, x)) <= 1e-12
+        queries = np.random.default_rng(10).random((10, 2))
+        assert np.abs(decision_values(docked, queries) - decision_values(loaded, queries)).max() <= 1e-12
 
     def test_truncated_file_rejected(self):
         text = serialize_model(self._model())
@@ -428,3 +422,65 @@ class TestMalformedKernelLines:
         lines[k] = replacement
         with pytest.raises(MalformedModel):
             load_model("\n".join(lines) + "\n")
+
+
+@functools.cache
+def _saved_lines(scaled=False):
+    """Lines of a saved fit: hard margin without scaling lines, or 2-norm
+    margin (a C line) with scaling lines."""
+    config = SolverConfig(eps=0.5, margin="l2", C=2.0) if scaled else SolverConfig(eps=0.5, margin="hard")
+    scaling = ScalingParams(np.array([0.0, -1.0]), np.array([2.0, 3.0])) if scaled else None
+    model = fit(make_random_dataset(6, 2, 3), make_default_family(2)[:2], config, scaling=scaling)
+    return tuple(serialize_model(model).splitlines())
+
+
+def _mutated(scaled, op, i, j, k, token):
+    lines = list(_saved_lines(scaled))
+    i %= len(lines)
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        j %= len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        parts = lines[i].split()
+        parts[k % len(parts)] = token
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+class TestMutatedModelFiles:
+    """A header count or a bare key must not reach an allocation or an index."""
+
+    @pytest.mark.parametrize(
+        "key, i, token",
+        [("margin", 1, ""), ("dim", 5, "99999999999"), ("n_support", 6, "99999999999")],
+        ids=["bare_margin", "huge_dim_without_scaling", "huge_n_support"],
+    )
+    def test_header_faults(self, key, i, token):
+        # the explicit examples of the property below address these lines too
+        assert _saved_lines()[i].split()[0] == key
+        with pytest.raises(MalformedModel):
+            load_model(_mutated(False, "token", i, 0, 1, token))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scaled=st.booleans(),
+        op=st.sampled_from(("delete", "duplicate", "swap", "token")),
+        i=st.integers(0, 63),
+        j=st.integers(0, 63),
+        k=st.integers(0, 7),
+        token=st.sampled_from(("", "nan", "-1", "0", "99999999999")),
+    )
+    @example(scaled=False, op="token", i=1, j=0, k=1, token="")
+    @example(scaled=False, op="token", i=5, j=0, k=1, token="99999999999")
+    @example(scaled=False, op="token", i=6, j=0, k=1, token="99999999999")
+    def test_mutated_file_loads_or_raises_malformed_property(self, scaled, op, i, j, k, token):
+        # one deleted, duplicated or swapped line, or one replaced token
+        text = _mutated(scaled, op, i, j, k, token)
+        try:
+            load_model(text)
+        except MalformedModel:
+            pass

@@ -18,13 +18,12 @@ from mklmmwu import (
     brute_qcqp,
     dense_expm,
     exponentiate_m,
-    find_alpha,
+    find_pair,
     iteration_budget,
     make_default_family,
     recompute_state,
     train,
 )
-from mklmmwu.solver import DualUpdate
 
 from helpers import arrow_matrix, make_blobs, make_random_dataset
 from test_kernels import SIGMA_HALF
@@ -69,21 +68,19 @@ class TestIterationBudget:
             iteration_budget(SolverConfig(eps=0.2), 1)
 
 
+def _class_indices(y):
+    return np.flatnonzero(y > 0), np.flatnonzero(y < 0)
+
+
 class TestFindAlpha:
     def test_picks_class_argmaxes(self):
         y = np.array([1.0, -1.0, 1.0])
         g = np.array([0.2, 0.5, 0.9])
-        upd = find_alpha(g, y)
-        assert (upd.j_plus, upd.j_minus) == (2, 1)
+        assert find_pair(g, *_class_indices(y)) == (2, 1)
 
     def test_zero_g_breaks_ties_to_lowest_index(self):
         y = np.array([-1.0, 1.0, 1.0, -1.0])
-        upd = find_alpha(np.zeros(4), y)
-        assert (upd.j_plus, upd.j_minus) == (1, 0)
-
-    def test_single_class_is_infeasible(self):
-        with pytest.raises(InfeasibleDual):
-            find_alpha(np.zeros(3), np.ones(3))
+        assert find_pair(np.zeros(4), *_class_indices(y)) == (1, 0)
 
 
 class TestArrowExp:
@@ -123,14 +120,14 @@ def _two_point_state(quash=20.0):
 class TestExponentiate:
     def test_fresh_state_returns_zero_g(self):
         state, acc, cfg = _two_point_state()
-        p12, g = exponentiate_m(state, cfg.eps_prime, cfg.rho)
+        p12, g = exponentiate_m(state)
         assert np.array_equal(g, np.zeros(2))
         assert np.allclose(p12, 0.0, atol=1e-300)
 
     def test_trace_normalization_identity(self):
         state, acc, cfg = _two_point_state()
-        apply_update(state, DualUpdate(0, 1), acc)
-        exponentiate_m(state, cfg.eps_prime, cfg.rho)
+        apply_update(state, 0, 1)
+        exponentiate_m(state)
         m, n = state.w.shape
         s = (cfg.eps_prime / (2.0 * cfg.rho)) * np.sqrt(np.maximum(state.q, 0.0))
         norm = m * (n - 1) * state.e_m + 2.0 * np.cosh(s).sum()
@@ -147,7 +144,7 @@ class TestExponentiate:
         scale = cfg.eps_prime / (2.0 * cfg.rho)
         state.q = (np.array([25.0, 24.3]) / scale) ** 2
         state.w = np.zeros((2, 8))
-        p12, _ = exponentiate_m(state, cfg.eps_prime, cfg.rho, quash_threshold=20.0)
+        p12, _ = exponentiate_m(state)
         assert state.e_m == pytest.approx(math.exp(-25.0), rel=1e-12)
         shifted = np.abs(p12) * (2 * (8 - 1) * state.e_m + 2.0 * (np.exp([0.0, -0.7])).sum())
         assert shifted[0] == pytest.approx(1.0, rel=1e-9)
@@ -165,10 +162,10 @@ class TestExponentiate:
         w = rng.normal(size=(3, 10))
         quashed = SolverState.fresh(acc, cfg)
         quashed.q, quashed.w = q.copy(), w.copy()
-        p12_q, g_q = exponentiate_m(quashed, cfg.eps_prime, cfg.rho, quash_threshold=20.0)
-        exact = SolverState.fresh(acc, cfg)
+        p12_q, g_q = exponentiate_m(quashed)
+        exact = SolverState.fresh(acc, SolverConfig(eps=0.2, margin="hard", quash_threshold=1e9))
         exact.q, exact.w = q.copy(), w.copy()
-        p12_e, g_e = exponentiate_m(exact, cfg.eps_prime, cfg.rho, quash_threshold=1e9)
+        p12_e, g_e = exponentiate_m(exact)
         assert np.abs(g_q - g_e).max() <= 1e-10 * np.abs(g_e).max()
         assert np.abs(p12_q - p12_e).max() <= 1e-10 * np.abs(p12_e).max()
 
@@ -178,7 +175,7 @@ class TestApplyUpdate:
         # G = [[0.5, -0.25], [-0.25, 0.5]] after trace normalization, so the
         # first update gives q = (G00 + G11 + 2 G01) / 4 = 0.125
         state, acc, _ = _two_point_state()
-        apply_update(state, DualUpdate(0, 1), acc)
+        apply_update(state, 0, 1)
         assert np.array_equal(state.alpha_bar, [0.5, 0.5])
         assert state.q[0] == pytest.approx(0.125, rel=1e-14)
         assert state.t == 1
@@ -193,8 +190,7 @@ class TestApplyUpdate:
         neg = np.flatnonzero(ds.labels < 0)
         rng = np.random.default_rng(5)
         for _ in range(25):
-            upd = DualUpdate(int(rng.choice(pos)), int(rng.choice(neg)))
-            apply_update(state, upd, acc)
+            apply_update(state, int(rng.choice(pos)), int(rng.choice(neg)))
         w_ref, q_ref = recompute_state(state.alpha_bar, acc)
         assert np.abs(state.w - w_ref).max() <= 1e-12 * max(np.abs(w_ref).max(), 1.0)
         assert np.abs(state.q - q_ref).max() <= 1e-12 * max(np.abs(q_ref).max(), 1.0)
@@ -215,7 +211,7 @@ class TestApplyUpdate:
         pos = np.flatnonzero(ds.labels > 0)
         neg = np.flatnonzero(ds.labels < 0)
         for a, b in picks:
-            apply_update(state, (int(pos[a % pos.size]), int(neg[b % neg.size])), acc)
+            apply_update(state, int(pos[a % pos.size]), int(neg[b % neg.size]))
         w_ref, q_ref = recompute_state(state.alpha_bar, acc)
         assert np.abs(state.w - w_ref).max() <= 1e-12 * max(np.abs(w_ref).max(), 1.0)
         assert np.abs(state.q - q_ref).max() <= 1e-12 * max(np.abs(q_ref).max(), 1.0)
@@ -229,7 +225,7 @@ class TestApplyUpdate:
         neg = np.flatnonzero(ds.labels < 0)
         rng = np.random.default_rng(6)
         for _ in range(30):
-            apply_update(state, DualUpdate(int(rng.choice(pos)), int(rng.choice(neg))), acc)
+            apply_update(state, int(rng.choice(pos)), int(rng.choice(neg)))
         assert state.max_step_width <= 0.5 + 1e-12
 
 
