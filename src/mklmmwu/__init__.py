@@ -11,7 +11,6 @@ from .data import (
     apply_scaling,
     fit_scaling,
     parse_libsvm,
-    serialize_libsvm,
     split,
 )
 from .errors import (
@@ -31,7 +30,6 @@ from .kernels import (
     GramAccessor,
     KernelSpec,
     bind,
-    eval_kernel,
     make_default_family,
 )
 from .model import (
@@ -47,12 +45,10 @@ from .model import (
     save_model,
     serialize_model,
 )
-from .oracle import BruteResult, brute_qcqp, dense_expm, recompute_state
 from .solver import (
     SolverConfig,
     SolverState,
     apply_update,
-    arrow_exp,
     exponentiate_m,
     find_pair,
     iteration_budget,

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class RunReport:
     train_error: float | None = None
     test_error: float | None = None
     active_kernels: int | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_pairs(self) -> list[tuple[str, str]]:
         pairs = [
@@ -68,7 +67,6 @@ class RunReport:
             pairs.append(("test_error", f"{self.test_error:.6f}"))
         if self.active_kernels is not None:
             pairs.append(("active_kernels", str(self.active_kernels)))
-        pairs.extend((k, str(v)) for k, v in self.extra.items())
         return pairs
 
     def print(self, out=None) -> None:
@@ -371,18 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser):
-    if getattr(args, "eps", None) is not None and args.eps <= 0:
-        parser.error("--eps must be positive")
-    if getattr(args, "eps_grid", None):
-        if any(e <= 0 for e in args.eps_grid):
-            parser.error("--eps-grid values must be positive")
-    if getattr(args, "C", None) is not None and args.C <= 0:
-        parser.error("--C must be positive")
+    """Bad settings exit 2. The solver's are checked by building the
+    SolverConfig of every (eps, C) the command reads. C is checked as a
+    2-norm C in either margin mode, so it must be positive even where a hard
+    margin ignores it."""
+    if hasattr(args, "eps"):
+        eps_values = [args.eps, *(getattr(args, "eps_grid", None) or ())]
+        c_values = [args.C, *(getattr(args, "C_grid", None) or ())]
+        try:
+            for eps in eps_values:
+                for C in c_values:
+                    SolverConfig(eps=eps, margin="l2", C=C, max_iters_override=args.max_iters)
+        except ValueError as exc:
+            parser.error(str(exc))
     if getattr(args, "train_fraction", None) is not None:
         if not 0.0 < args.train_fraction < 1.0:
             parser.error("--train-fraction must lie in (0, 1)")
-    if getattr(args, "max_iters", None) is not None and args.max_iters < 1:
-        parser.error("--max-iters must be at least 1")
     if getattr(args, "folds", None) is not None and args.folds < 2:
         parser.error("--folds must be at least 2")
     if getattr(args, "repeats", None) is not None and args.repeats < 1:

@@ -176,16 +176,6 @@ def _raise_first_fault(line_no: int, feats: list[str]) -> None:
         prev = idx
 
 
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Render a Dataset back to LibSVM text (zeros omitted, 17 significant digits)."""
-    lines = []
-    for x, y in zip(dataset.points, dataset.labels):
-        parts = ["+1" if y > 0 else "-1"]
-        parts.extend(f"{j + 1}:{v:.17g}" for j, v in enumerate(x) if v != 0.0)
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 def fit_scaling(dataset: Dataset) -> ScalingParams:
     return ScalingParams(dataset.points.min(axis=0), dataset.points.max(axis=0))
 

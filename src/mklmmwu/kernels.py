@@ -4,10 +4,11 @@ A bound accessor serves column j of every raw kernel matrix K_i at once, as
 an (m, n) block, without ever materializing an n x n matrix: the block costs
 O(m n) and the whole working set stays O(m n). The block carries no ridge,
 no trace normalizer 1/r_i and no label signs; the solver folds those into
-its O(m) and O(n) vectors, and only the test/oracle helpers assemble the
-signed, regularized G_i = Y (K_i + ridge I) Y / r_i. The same evaluator
-serves prediction: an accessor over a model's support points writes the
-block against each query point.
+its O(m) and O(n) vectors, so the package never assembles the signed,
+regularized G_i = Y (K_i + ridge I) Y / r_i (the dense references in
+tests/reference.py do, from this block). The same evaluator serves
+prediction: an accessor over a model's support points writes the block
+against each query point.
 
 One grouped evaluator computes the block. Specs are grouped by (kind,
 feature scope, parameter), and each group's rows are a slice of the block
@@ -40,11 +41,17 @@ from .data import Dataset
 #: Gaussian bandwidths 2^0, 2^(1/2), ..., 2^4.
 GAUSSIAN_BANDWIDTHS = tuple(float(2.0 ** (k / 2.0)) for k in range(9))
 POLYNOMIAL_DEGREES = (1, 2, 3)
+#: Largest polynomial degree a KernelSpec accepts; the default family uses
+#: 1..3. On [0,1]-scaled data (x.z + 1)^degree reaches (d + 1)^degree, which
+#: overflows float64 once the degree exceeds 1024 / log2(d + 1): at 20 that
+#: takes d >= 2^51. Each degree also costs the evaluator one pass per block.
+MAX_POLYNOMIAL_DEGREE = 20
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One base kernel: Gaussian exp(-|x-z|^2 / (2 sigma^2)) or (x.z + 1)^degree.
+    """One base kernel: Gaussian exp(-|x-z|^2 / (2 sigma^2)) or (x.z + 1)^degree,
+    the degree an integer from 1 to MAX_POLYNOMIAL_DEGREE.
 
     `feature` restricts evaluation to a single coordinate (None = all).
     `r` (trace normalizer) and `ridge` (2-norm soft-margin diagonal) are
@@ -65,6 +72,8 @@ class KernelSpec:
         if self.kind == "poly":
             if self.param < 1 or self.param != int(self.param):
                 raise ValueError("polynomial degree must be a positive integer")
+            if self.param > MAX_POLYNOMIAL_DEGREE:
+                raise ValueError(f"polynomial degree must be at most {MAX_POLYNOMIAL_DEGREE}")
         if not (self.ridge >= 0.0 and math.isfinite(self.ridge)):
             raise ValueError("ridge must be nonnegative and finite")
         if self.r is not None and not (self.r > 0.0 and math.isfinite(self.r)):
@@ -77,22 +86,6 @@ def _int_power(base: np.ndarray, degree: int) -> np.ndarray:
     for _ in range(degree - 1):
         out *= base
     return out
-
-
-def eval_kernel(spec: KernelSpec, x, z) -> float:
-    """Raw kernel value (no trace normalization, no ridge)."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if spec.feature is not None:
-        x = x[spec.feature : spec.feature + 1]
-        z = z[spec.feature : spec.feature + 1]
-    if spec.kind == "gaussian":
-        diff = x - z
-        return float(np.exp(-float(diff @ diff) / (2.0 * spec.param**2)))
-    out = base = float(x @ z) + 1.0
-    for _ in range(int(spec.param) - 1):
-        out *= base
-    return float(out)
 
 
 def make_default_family(d: int, per_feature: bool = False) -> list[KernelSpec]:
@@ -275,9 +268,7 @@ class GramAccessor:
     which is column j of every raw kernel matrix K_i; the solver folds ridge,
     1/r_i and signs into its O(m) and O(n) vectors through `labels`, `inv_r`
     and `ridge`. Prediction asks for the block at query points, over the
-    model's support points. The signed, regularized, trace-normalized
-    G_i = Y (K_i + ridge I) Y / r_i is assembled from the same block by
-    `signed_column` and `dense_signed_gram`.
+    model's support points.
     """
 
     def __init__(self, bound_specs, dataset: Dataset):
@@ -396,29 +387,3 @@ class GramAccessor:
                 del self._calls[next(iter(self._calls))]
             self._calls[id(out)] = (out, calls)
         return calls
-
-    def signed_column(self, i: int, j: int) -> np.ndarray:
-        """Column j of G_i: y_j y_k (kappa_i(x_k, x_j) + ridge [j == k]) / r_i."""
-        col = self.signed_columns_all(j)[i].copy()
-        col[j] += self.specs[i].ridge
-        col *= 1.0 / self.specs[i].r
-        col *= self._y * self._y[j]
-        return col
-
-    def dense_gram(self, i: int) -> np.ndarray:
-        """Full raw K_i assembled column by column. Test/oracle support only."""
-        if self.n > 512:
-            raise ValueError("dense Gram assembly is capped at n <= 512")
-        gram = np.empty((self.n, self.n))
-        block = np.empty((self.m, self.n))
-        for j in range(self.n):
-            gram[:, j] = self.signed_columns_all(j, out=block)[i]
-        return gram
-
-    def dense_signed_gram(self, i: int) -> np.ndarray:
-        """Full G_i, entry for entry as `signed_column` gives it. Test/oracle support only."""
-        gram = self.dense_gram(i)
-        gram.flat[:: self.n + 1] += self.specs[i].ridge
-        gram *= 1.0 / self.specs[i].r
-        gram *= np.outer(self._y, self._y)
-        return gram

@@ -32,8 +32,8 @@ from .errors import InfeasibleDual, NumericalFailure
 from .kernels import GramAccessor, bind
 
 #: Quadform floor. A kernel whose sqrt(q_i) (in `exponentiate_m`) or whose
-#: qhat_i = q_i / t^2 (in `model.extract_weights`) sits below it counts as
-#: zero: it adds nothing to g and gets weight 0.
+#: qhat_i = q_i / t^2 (in `extract_weights` of model.py) sits below it
+#: counts as zero: it adds nothing to g and gets weight 0.
 MIN_QUADFORM = 1e-12
 
 
@@ -216,36 +216,6 @@ def exponentiate_m(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
     state.e_m = e_m
     state.last_s_max = s_max
     return p12, g
-
-
-def arrow_exp(a: float, u) -> np.ndarray:
-    """Exact exponential of the (n+1)x(n+1) arrow matrix [[a I, u], [u', a]].
-
-    Eigenvalues are a (multiplicity n-1) and a +/- |u|, which assembles into
-    e^a [cosh|u| uu' / |u|^2 + (I - uu'/|u|^2)] on the top-left block,
-    e^a sinh|u| u/|u| on the borders, and e^a cosh|u| in the corner.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or u.size < 1:
-        raise ValueError("u must be a non-empty vector")
-    n = u.size
-    ea = math.exp(a)
-    out = np.zeros((n + 1, n + 1))
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
-        np.fill_diagonal(out, ea)
-        return out
-    uhat = u / norm
-    ch = math.cosh(norm)
-    sh = math.sinh(norm)
-    top = (ch - 1.0) * np.outer(uhat, uhat)
-    top[np.diag_indices(n)] += 1.0
-    out[:n, :n] = ea * top
-    border = (ea * sh) * uhat
-    out[:n, n] = border
-    out[n, :n] = border
-    out[n, n] = ea * ch
-    return out
 
 
 def train(dataset, specs, config: SolverConfig, trace=None) -> tuple[SolverState, int]:

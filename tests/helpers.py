@@ -4,6 +4,8 @@ import numpy as np
 
 from mklmmwu import Dataset, KernelSpec, bind, make_default_family
 
+from reference import dense_signed_gram
+
 
 def make_random_dataset(n, d, seed, pos_fraction=0.5):
     rng = np.random.default_rng(seed)
@@ -71,7 +73,7 @@ def mixed_saddle_instance():
 
 def dense_grams(dataset, specs, C=None, margin_mode="hard"):
     acc = bind(specs, dataset, C=C, margin_mode=margin_mode)
-    return acc, [acc.dense_signed_gram(i) for i in range(acc.m)]
+    return acc, [dense_signed_gram(acc, i) for i in range(acc.m)]
 
 
 def arrow_matrix(a, u):

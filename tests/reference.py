@@ -2,16 +2,109 @@
 
 Nothing here is used on the training path; these routines deliberately take
 the slow, dense road so the fast closed-form code has something honest to be
-compared against.
+compared against. Single kernel entries, signed Gram columns and dense Gram
+matrices check the column evaluator; the arrow-matrix exponential and the
+dense series check the solver's closed form; the LibSVM writer feeds the
+parser's round trip; and the certified QCQP solver checks the approximation
+guarantee.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleDual, NumericalFailure
+from mklmmwu.data import Dataset
+from mklmmwu.errors import InfeasibleDual, NumericalFailure
+from mklmmwu.kernels import GramAccessor, KernelSpec
+
+
+def eval_kernel(spec: KernelSpec, x, z) -> float:
+    """Raw kernel value (no trace normalization, no ridge)."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if spec.feature is not None:
+        x = x[spec.feature : spec.feature + 1]
+        z = z[spec.feature : spec.feature + 1]
+    if spec.kind == "gaussian":
+        diff = x - z
+        return float(np.exp(-float(diff @ diff) / (2.0 * spec.param**2)))
+    out = base = float(x @ z) + 1.0
+    for _ in range(int(spec.param) - 1):
+        out *= base
+    return float(out)
+
+
+def signed_column(acc: GramAccessor, i: int, j: int) -> np.ndarray:
+    """Column j of G_i: y_j y_k (kappa_i(x_k, x_j) + ridge [j == k]) / r_i."""
+    y = acc.labels
+    col = acc.signed_columns_all(j)[i].copy()
+    col[j] += acc.specs[i].ridge
+    col *= 1.0 / acc.specs[i].r
+    col *= y * y[j]
+    return col
+
+
+def dense_gram(acc: GramAccessor, i: int) -> np.ndarray:
+    """Full raw K_i assembled column by column."""
+    if acc.n > 512:
+        raise ValueError("dense Gram assembly is capped at n <= 512")
+    gram = np.empty((acc.n, acc.n))
+    block = np.empty((acc.m, acc.n))
+    for j in range(acc.n):
+        gram[:, j] = acc.signed_columns_all(j, out=block)[i]
+    return gram
+
+
+def dense_signed_gram(acc: GramAccessor, i: int) -> np.ndarray:
+    """Full G_i, entry for entry as `signed_column` gives it."""
+    gram = dense_gram(acc, i)
+    gram.flat[:: acc.n + 1] += acc.specs[i].ridge
+    gram *= 1.0 / acc.specs[i].r
+    gram *= np.outer(acc.labels, acc.labels)
+    return gram
+
+
+def arrow_exp(a: float, u) -> np.ndarray:
+    """Exact exponential of the (n+1)x(n+1) arrow matrix [[a I, u], [u', a]].
+
+    Eigenvalues are a (multiplicity n-1) and a +/- |u|, which assembles into
+    e^a [cosh|u| uu' / |u|^2 + (I - uu'/|u|^2)] on the top-left block,
+    e^a sinh|u| u/|u| on the borders, and e^a cosh|u| in the corner.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1 or u.size < 1:
+        raise ValueError("u must be a non-empty vector")
+    n = u.size
+    ea = math.exp(a)
+    out = np.zeros((n + 1, n + 1))
+    norm = float(np.linalg.norm(u))
+    if norm == 0.0:
+        np.fill_diagonal(out, ea)
+        return out
+    uhat = u / norm
+    ch = math.cosh(norm)
+    sh = math.sinh(norm)
+    top = (ch - 1.0) * np.outer(uhat, uhat)
+    top[np.diag_indices(n)] += 1.0
+    out[:n, :n] = ea * top
+    border = (ea * sh) * uhat
+    out[:n, n] = border
+    out[n, :n] = border
+    out[n, n] = ea * ch
+    return out
+
+
+def serialize_libsvm(dataset: Dataset) -> str:
+    """Render a Dataset back to LibSVM text (zeros omitted, 17 significant digits)."""
+    lines = []
+    for x, y in zip(dataset.points, dataset.labels):
+        parts = ["+1" if y > 0 else "-1"]
+        parts.extend(f"{j + 1}:{v:.17g}" for j, v in enumerate(x) if v != 0.0)
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 def dense_expm(mat: np.ndarray) -> np.ndarray:
@@ -58,7 +151,7 @@ def recompute_state(alpha_bar: np.ndarray, accessor) -> tuple[np.ndarray, np.nda
     w = np.zeros((accessor.m, accessor.n))
     q = np.zeros(accessor.m)
     for i, spec in enumerate(accessor.specs):
-        w[i] = accessor.dense_gram(i) @ yc + spec.ridge * yc
+        w[i] = dense_gram(accessor, i) @ yc + spec.ridge * yc
         q[i] = float(yc @ w[i]) / (4.0 * spec.r)
     return w, q
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mklmmwu import NumericalFailure, serialize_libsvm
+from mklmmwu import NumericalFailure
 from mklmmwu.cli import main, median_ci, stratified_folds
 from mklmmwu.solver import SolverConfig, iteration_budget
 
 from helpers import make_blobs, make_random_dataset
+from reference import serialize_libsvm
 
 
 def _write_blobs(path, n=40, seed=0):
@@ -51,6 +52,18 @@ class TestTrain:
         _write_blobs(data)
         with pytest.raises(SystemExit) as err:
             main(["train", "--data", str(data), "--eps", "0"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eps", "5"], ["--C", "nan"], ["--eps", "nan"], ["--C", "0", "--margin", "hard"]],
+        ids=["eps_above_2rho", "C_nan", "eps_nan", "C0_hard_margin"],
+    )
+    def test_bad_solver_settings_exit_2(self, tmp_path, flags):
+        data = tmp_path / "d.svm"
+        _write_blobs(data)
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(data), *flags])
         assert err.value.code == 2
 
     def test_missing_file_exits_3(self, capsys):
@@ -196,6 +209,16 @@ class TestCv:
         _write_blobs(data, n=30)
         with pytest.raises(SystemExit) as err:
             main(["cv", "--data", str(data), "--C-grid", "1", "--max-iters", "50", *flags])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--C-grid", "-1"], ["--eps-grid", "nan"]], ids=["C_grid_negative", "eps_grid_nan"]
+    )
+    def test_bad_grid_exits_2(self, tmp_path, flags):
+        data = tmp_path / "d.svm"
+        _write_blobs(data, n=30)
+        with pytest.raises(SystemExit) as err:
+            main(["cv", "--data", str(data), "--folds", "2", "--max-iters", "50", *flags])
         assert err.value.code == 2
 
 

@@ -12,9 +12,10 @@ from mklmmwu import (
     apply_scaling,
     fit_scaling,
     parse_libsvm,
-    serialize_libsvm,
     split,
 )
+
+from reference import serialize_libsvm
 
 
 class TestParse:

@@ -8,11 +8,12 @@ from mklmmwu import (
     Dataset,
     KernelSpec,
     bind,
-    eval_kernel,
     make_default_family,
 )
+from mklmmwu.kernels import MAX_POLYNOMIAL_DEGREE
 
 from helpers import make_random_dataset
+from reference import dense_signed_gram, eval_kernel, signed_column
 
 # bandwidth that makes exp(-1 / (2 sigma^2)) = 1/2 at unit distance
 SIGMA_HALF = math.sqrt(1.0 / (2.0 * math.log(2.0)))
@@ -44,6 +45,12 @@ class TestEvalKernel:
         with pytest.raises(ValueError):
             KernelSpec("sigmoid", 1.0)
 
+    def test_polynomial_degree_cap(self):
+        assert KernelSpec("poly", float(MAX_POLYNOMIAL_DEGREE)).param == MAX_POLYNOMIAL_DEGREE
+        for degree in (MAX_POLYNOMIAL_DEGREE + 1, 1e6, 99999999999.0):
+            with pytest.raises(ValueError, match="at most"):
+                KernelSpec("poly", float(degree))
+
 
 class TestDefaultFamily:
     def test_all_feature_count(self):
@@ -67,6 +74,12 @@ class TestDefaultFamily:
 
     def test_degrees(self):
         assert [int(s.param) for s in make_default_family(2) if s.kind == "poly"] == [1, 2, 3]
+
+    def test_family_binds_under_the_degree_cap(self):
+        ds = make_random_dataset(12, 3, 4)
+        for per_feature in (False, True):
+            acc = bind(make_default_family(3, per_feature=per_feature), ds)
+            assert max(int(s.param) for s in acc.specs if s.kind == "poly") <= MAX_POLYNOMIAL_DEGREE
 
 
 class TestBind:
@@ -104,7 +117,7 @@ class TestSignedColumns:
 
     def test_hand_worked_column(self):
         acc = self._two_point()
-        col = acc.signed_column(0, 0)
+        col = signed_column(acc, 0, 0)
         assert col[0] == pytest.approx(0.5, rel=1e-14)
         assert col[1] == pytest.approx(-0.25, rel=1e-14)
 
@@ -113,14 +126,14 @@ class TestSignedColumns:
         acc = bind(make_default_family(2), ds, C=2.0, margin_mode="l2")
         j = int(np.flatnonzero(ds.labels < 0)[0])
         for i in range(acc.m):
-            assert acc.signed_column(i, j)[j] > 0.0
+            assert signed_column(acc, i, j)[j] > 0.0
 
     def test_exact_symmetry(self):
         ds = make_random_dataset(15, 3, 4)
         acc = bind(make_default_family(3, per_feature=True), ds, C=5.0, margin_mode="l2")
         for i in (0, 7, 20, 35):
             for j, k in ((0, 5), (2, 14), (7, 8)):
-                assert acc.signed_column(i, j)[k] == acc.signed_column(i, k)[j]
+                assert signed_column(acc, i, j)[k] == signed_column(acc, i, k)[j]
 
     def test_batched_matches_per_kernel_bitwise(self):
         # the raw block, written into a reused NaN-filled buffer and folded
@@ -136,13 +149,13 @@ class TestSignedColumns:
                 folded[j] += acc.ridge[i]
                 folded *= acc.inv_r[i]
                 folded *= ds.labels * ds.labels[j]
-                assert np.array_equal(folded, acc.signed_column(i, j))
+                assert np.array_equal(folded, signed_column(acc, i, j))
 
     def test_deterministic_repeat_calls(self):
         ds = make_random_dataset(10, 2, 6)
         acc = bind(make_default_family(2), ds)
-        a = acc.signed_column(3, 4)
-        b = acc.signed_column(3, 4)
+        a = signed_column(acc, 3, 4)
+        b = signed_column(acc, 3, 4)
         assert np.array_equal(a, b)
 
     def test_assembled_gram_trace_and_psd(self):
@@ -151,7 +164,7 @@ class TestSignedColumns:
             fam = make_default_family(d, per_feature=(seed == 0))
             acc = bind(fam, ds, C=C, margin_mode=margin)
             for i in range(0, acc.m, max(acc.m // 5, 1)):
-                gram = acc.dense_signed_gram(i)
+                gram = dense_signed_gram(acc, i)
                 assert np.array_equal(gram, gram.T)
                 assert abs(np.trace(gram) - 1.0) < 1e-9
                 assert np.linalg.eigvalsh(gram).min() >= -1e-8

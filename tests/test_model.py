@@ -15,8 +15,6 @@ from mklmmwu import (
     MalformedModel,
     SolverConfig,
     bind,
-    brute_qcqp,
-    eval_kernel,
     extract_weights,
     fit,
     load_model,
@@ -32,6 +30,7 @@ from mklmmwu.kernels import GramAccessor
 from mklmmwu.model import MklModel, compute_bias, decision_values, error_rate, save_model
 
 from helpers import dense_grams, make_blobs, make_random_dataset, mixed_saddle_instance
+from reference import brute_qcqp, dense_signed_gram, eval_kernel
 from test_kernels import SIGMA_HALF
 
 
@@ -133,7 +132,7 @@ class TestBias:
         state, total = train(ds, make_default_family(3, per_feature), SolverConfig(eps=0.3, margin=margin, C=C))
         mu = extract_weights(state)
         acc = state.accessor
-        g_mu = sum(weight * acc.dense_signed_gram(i) for i, weight in enumerate(mu))
+        g_mu = sum(weight * dense_signed_gram(acc, i) for i, weight in enumerate(mu))
         c = 2.0 * state.alpha_bar / total
         c_plus = np.where(ds.labels > 0, c, 0.0)
         c_minus = c - c_plus
@@ -381,6 +380,11 @@ class TestMalformedKernelLines:
     def test_non_integer_feature_field(self):
         with pytest.raises(MalformedModel):
             load_model(self._kernel_feature("one"))
+
+    def test_huge_polynomial_degree(self):
+        # at this degree the loaded model would predict non-finite values
+        with pytest.raises(MalformedModel, match="polynomial degree"):
+            load_model(self._corrupt_first("poly ", lambda line: "poly 1000000 all"))
 
     def test_nan_mu(self):
         with pytest.raises(MalformedModel):

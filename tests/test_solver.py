@@ -13,19 +13,16 @@ from mklmmwu import (
     SolverConfig,
     SolverState,
     apply_update,
-    arrow_exp,
     bind,
-    brute_qcqp,
-    dense_expm,
     exponentiate_m,
     find_pair,
     iteration_budget,
     make_default_family,
-    recompute_state,
     train,
 )
 
 from helpers import arrow_matrix, make_blobs, make_random_dataset
+from reference import arrow_exp, brute_qcqp, dense_expm, dense_signed_gram, recompute_state
 from test_kernels import SIGMA_HALF
 
 
@@ -318,7 +315,7 @@ class TestTrain:
         spec = [KernelSpec("poly", 1.0)]
         cfg = SolverConfig(eps=0.1, margin="hard")
         state, total = train(ds, spec, cfg)
-        gram = state.accessor.dense_signed_gram(0)
+        gram = dense_signed_gram(state.accessor, 0)
         result = brute_qcqp([gram], ds.labels, seed=0)
         assert result.omega > 0.0  # separability certificate
         solver_obj = float((state.q / total**2).max())
