@@ -14,15 +14,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, apply_scaling, fit_scaling, parse_libsvm, split
 from .errors import MklError, NumericalFailure
 from .kernels import make_default_family
-from .model import error_rate, load_model, model_from_state, save_model
-from .solver import SolverConfig, train
+from .model import MklModel, error_rate, fit, load_model, save_model
+from .solver import SolverConfig, iteration_budget
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -30,58 +29,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
-
-
-@dataclass
-class RunReport:
-    """One training or evaluation outcome, printable as key=value lines."""
-
-    dataset: str
-    n: int
-    d: int
-    m: int
-    eps: float
-    C: float | None
-    margin: str
-    T: int
-    wall_seconds: float
-    train_error: float | None = None
-    test_error: float | None = None
-    active_kernels: int | None = None
-
-    def to_pairs(self) -> list[tuple[str, str]]:
-        pairs = [
-            ("dataset", self.dataset),
-            ("n", str(self.n)),
-            ("d", str(self.d)),
-            ("m", str(self.m)),
-            ("eps", f"{self.eps:g}"),
-            ("C", "none" if self.C is None else f"{self.C:g}"),
-            ("margin", self.margin),
-            ("T", str(self.T)),
-            ("wall_seconds", f"{self.wall_seconds:.3f}"),
-        ]
-        if self.train_error is not None:
-            pairs.append(("train_error", f"{self.train_error:.6f}"))
-        if self.test_error is not None:
-            pairs.append(("test_error", f"{self.test_error:.6f}"))
-        if self.active_kernels is not None:
-            pairs.append(("active_kernels", str(self.active_kernels)))
-        return pairs
-
-    def print(self, out=None) -> None:
-        out = out if out is not None else sys.stdout
-        for key, value in self.to_pairs():
-            out.write(f"{key}={value}\n")
-
-    def append_csv(self, path) -> None:
-        pairs = self.to_pairs()
-        new_file = not os.path.exists(path)
-        with open(path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if new_file:
-                writer.writerow([k for k, _ in pairs])
-            writer.writerow([v for _, v in pairs])
 
 
 def _load_dataset(path, n_features=None) -> Dataset:
@@ -128,60 +75,78 @@ def median_ci(values, confidence=0.95):
     return xs[lo_rank - 1], xs[hi_rank - 1]
 
 
-def _train_once(train_ds, test_ds, per_feature, eps, margin, C, max_iters, verbose=False):
-    """Scale on train only, fit, and report errors on both sides."""
+def _scaled_fit(train_ds: Dataset, opts, eps: float, C: float, trace=None) -> tuple[MklModel, float]:
+    """Fit the [0,1] scaling on the train side only, then the model on the
+    scaled train side. `opts` (train's arguments or the protocol's settings)
+    gives margin, max_iters and per_feature_kernels; a hard margin reads no
+    C. Returns the model and the seconds `fit` took."""
     scaling = fit_scaling(train_ds)
-    train_scaled = apply_scaling(train_ds, scaling)
-    family = make_default_family(train_ds.d, per_feature=per_feature)
-    config = SolverConfig(eps=eps, margin=margin, C=C if margin == "l2" else None, max_iters_override=max_iters)
+    scaled = apply_scaling(train_ds, scaling)
+    family = make_default_family(train_ds.d, per_feature=opts.per_feature_kernels)
+    C = C if opts.margin == "l2" else None
+    config = SolverConfig(eps=eps, margin=opts.margin, C=C, max_iters_override=opts.max_iters)
     t0 = time.perf_counter()
-    state, total = train(train_scaled, family, config, trace=sys.stderr if verbose else None)
-    model = model_from_state(state, scaling=scaling)
-    wall = time.perf_counter() - t0
-    train_err = error_rate(model, train_scaled)
-    test_err = None
-    if test_ds is not None:
-        test_err = error_rate(model, apply_scaling(test_ds, scaling))
-    return model, RunReport(
-        dataset="",
-        n=train_ds.n,
-        d=train_ds.d,
-        m=len(family),
-        eps=eps,
-        C=C if margin == "l2" else None,
-        margin=margin,
-        T=total,
-        wall_seconds=wall,
-        train_error=train_err,
-        test_error=test_err,
-        active_kernels=int((model.mu > 1e-6).sum()),
-    )
+    model = fit(scaled, family, config, scaling=scaling, trace=trace)
+    return model, time.perf_counter() - t0
+
+
+def _error(model: MklModel, raw: Dataset) -> float:
+    """Error rate on unscaled points, mapped through the model's scaling."""
+    return error_rate(model, raw if model.scaling is None else apply_scaling(raw, model.scaling))
+
+
+def _report(args, n: int, model: MklModel, *, test_error, train_error=None, T=0, wall=0.0) -> None:
+    """Print one report record as key=value lines and, with --csv, append it
+    as one row under a header of the same keys. A key without a value (eval
+    has no train_error) is left off stdout and is an empty CSV cell."""
+    config = model.config
+    record = {
+        "dataset": os.path.basename(args.data),
+        "n": n,
+        "d": model.d,
+        "m": len(model.specs),
+        "eps": f"{config.eps:g}",
+        "C": "none" if config.C is None else f"{config.C:g}",
+        "margin": config.margin,
+        "T": T,
+        "wall_seconds": f"{wall:.3f}",
+        "train_error": None if train_error is None else f"{train_error:.6f}",
+        "test_error": f"{test_error:.6f}",
+        "active_kernels": int((model.mu > 1e-6).sum()),
+    }
+    for key, value in record.items():
+        if value is not None:
+            print(f"{key}={value}")
+    if args.csv:
+        _append_csv(args.csv, record)
+
+
+def _append_csv(path, record: dict) -> None:
+    """Append one row; a new or empty file gets the header first. A file
+    with any other header is refused, so no row lands under the wrong key."""
+    with open(path, "a+", newline="", encoding="utf-8") as fh:
+        fh.seek(0)
+        header = next(csv.reader(fh), None)
+        if header is not None and header != list(record):
+            raise ValueError(f"{path} has a different CSV header; not appending")
+        writer = csv.writer(fh)
+        if header is None:
+            writer.writerow(record)
+        writer.writerow(record.values())
 
 
 def cmd_train(args) -> int:
     data = _load_dataset(args.data)
     if args.test:
-        train_ds = data
-        test_ds = _load_dataset(args.test, n_features=data.d)
+        train_ds, test_ds = data, _load_dataset(args.test, n_features=data.d)
     else:
         train_ds, test_ds = split(data, args.train_fraction, args.seed)
-    model, report = _train_once(
-        train_ds,
-        test_ds,
-        args.per_feature_kernels,
-        args.eps,
-        args.margin,
-        args.C,
-        args.max_iters,
-        verbose=args.verbose,
-    )
-    report.dataset = os.path.basename(args.data)
+    model, wall = _scaled_fit(train_ds, args, args.eps, args.C, trace=sys.stderr if args.verbose else None)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             save_model(model, fh)
-    report.print()
-    if args.csv:
-        report.append_csv(args.csv)
+    _report(args, train_ds.n, model, T=iteration_budget(model.config, train_ds.n), wall=wall,
+            train_error=_error(model, train_ds), test_error=_error(model, test_ds))
     return EXIT_OK
 
 
@@ -189,45 +154,20 @@ def cmd_eval(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = load_model(fh)
     data = _load_dataset(args.data, n_features=model.d)
-    if model.scaling is not None:
-        data = apply_scaling(data, model.scaling)
-    report = RunReport(
-        dataset=os.path.basename(args.data),
-        n=data.n,
-        d=data.d,
-        m=len(model.specs),
-        eps=model.config.eps,
-        C=model.config.C,
-        margin=model.config.margin,
-        T=0,
-        wall_seconds=0.0,
-        test_error=error_rate(model, data),
-        active_kernels=int((model.mu > 1e-6).sum()),
-    )
-    report.print()
-    if args.csv:
-        report.append_csv(args.csv)
+    _report(args, data.n, model, test_error=_error(model, data))
     return EXIT_OK
 
 
-def _grid_search(train_ds, eps_grid, c_grid, margin, folds, seed, per_feature, max_iters):
-    """Mean stratified-CV error per grid cell; folds missing a class are skipped."""
-    fold_idx = stratified_folds(train_ds.labels, folds, seed)
-    table = {}
-    for eps in eps_grid:
-        for C in c_grid:
-            errors = []
-            for trn, val in fold_idx:
-                fold_train = train_ds.subset(trn)
-                fold_val = train_ds.subset(val)
-                if not fold_train.has_both_classes() or fold_val.n == 0:
-                    print("warning: skipping a fold without both classes", file=sys.stderr)
-                    continue
-                _, rep = _train_once(fold_train, fold_val, per_feature, eps, margin, C, max_iters)
-                errors.append(rep.test_error)
-            if errors:
-                table[(eps, C)] = sum(errors) / len(errors)
-    return table
+def _fold_sets(train_ds: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
+    """The (train, val) sets of each stratified fold. A fold with an empty
+    val side or a one-class train side is skipped with a warning."""
+    sets = []
+    for trn, val in stratified_folds(train_ds.labels, k, seed):
+        if val.size == 0 or np.unique(train_ds.labels[trn]).size < 2:
+            print("warning: skipping a fold without both classes", file=sys.stderr)
+            continue
+        sets.append((train_ds.subset(trn), train_ds.subset(val)))
+    return sets
 
 
 def _select_best(table):
@@ -237,39 +177,33 @@ def _select_best(table):
 
 def _protocol_repeat(payload):
     """One 80/20 repeat of the small-data protocol: CV on the train side,
-    retrain at the chosen setting, score the held-out test side."""
-    (points, labels, rep_seed, eps_grid, c_grid, margin, folds,
-     per_feature, train_fraction, max_iters) = payload
-    data = Dataset(points, labels)
-    train_ds, test_ds = split(data, train_fraction, rep_seed)
-    table = _grid_search(train_ds, eps_grid, c_grid, margin, folds, rep_seed, per_feature, max_iters)
-    if not table:
+    retrain at the chosen setting, score the held-out test side.
+
+    `payload` is (data, seed, opts), where opts holds the settings
+    `run_protocol` was given. Returns None if every fold was skipped."""
+    data, seed, opts = payload
+    train_ds, test_ds = split(data, opts.train_fraction, seed)
+    folds = _fold_sets(train_ds, opts.folds, seed)
+    if not folds:
         return None
+    table = {}
+    for eps in opts.eps_grid:
+        for C in opts.c_grid:
+            errors = [_error(_scaled_fit(trn, opts, eps, C)[0], val) for trn, val in folds]
+            table[(eps, C)] = sum(errors) / len(errors)
     eps, C = _select_best(table)
-    _, rep = _train_once(train_ds, test_ds, per_feature, eps, margin, C, max_iters)
-    return {"eps": eps, "C": C, "test_error": rep.test_error, "table": table, "T": rep.T,
-            "wall_seconds": rep.wall_seconds, "n": rep.n, "m": rep.m}
+    model, _ = _scaled_fit(train_ds, opts, eps, C)
+    return {"eps": eps, "C": C, "test_error": _error(model, test_ds), "table": table}
 
 
-def run_protocol(
-    data: Dataset,
-    eps_grid,
-    c_grid,
-    margin="l2",
-    folds=5,
-    repeats=1,
-    seed=0,
-    per_feature=False,
-    train_fraction=0.8,
-    max_iters=None,
-    jobs=1,
-):
-    """Repeated 80/20 evaluation with per-repeat CV; returns one record per repeat."""
-    payloads = [
-        (data.points, data.labels, seed + 7919 * r, tuple(eps_grid), tuple(c_grid),
-         margin, folds, per_feature, train_fraction, max_iters)
-        for r in range(repeats)
-    ]
+def run_protocol(data: Dataset, eps_grid, c_grid, margin="l2", folds=5, repeats=1, seed=0,
+                 per_feature=False, train_fraction=0.8, max_iters=None, jobs=1):
+    """Repeated 80/20 evaluation with per-repeat CV. Returns one record per
+    repeat that kept a fold: the chosen eps and C, the test error there, and
+    the table of mean CV error per (eps, C)."""
+    opts = argparse.Namespace(eps_grid=tuple(eps_grid), c_grid=tuple(c_grid), margin=margin, folds=folds,
+                              per_feature_kernels=per_feature, train_fraction=train_fraction, max_iters=max_iters)
+    payloads = [(data, seed + 7919 * r, opts) for r in range(repeats)]
     if jobs > 1 and repeats > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_protocol_repeat, payloads))
@@ -280,20 +214,10 @@ def run_protocol(
 
 def cmd_cv(args) -> int:
     data = _load_dataset(args.data)
-    eps_grid = args.eps_grid or [args.eps]
-    c_grid = args.C_grid or list(DEFAULT_C_GRID)
     results = run_protocol(
-        data,
-        eps_grid,
-        c_grid,
-        margin=args.margin,
-        folds=args.folds,
-        repeats=args.repeats,
-        seed=args.seed,
-        per_feature=args.per_feature_kernels,
-        train_fraction=args.train_fraction,
-        max_iters=args.max_iters,
-        jobs=args.jobs,
+        data, args.eps_grid or [args.eps], args.C_grid or DEFAULT_C_GRID, margin=args.margin,
+        folds=args.folds, repeats=args.repeats, seed=args.seed, per_feature=args.per_feature_kernels,
+        train_fraction=args.train_fraction, max_iters=args.max_iters, jobs=args.jobs,
     )
     if not results:
         print("error: every fold was skipped", file=sys.stderr)
@@ -324,15 +248,13 @@ def cmd_cv(args) -> int:
 
 
 def _add_common(p):
+    """The options that train and cv both read."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--margin", choices=("hard", "l2"), default="l2")
     p.add_argument("--per-feature-kernels", action="store_true", dest="per_feature_kernels")
     p.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
     p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    p.add_argument("--verbose", action="store_true")
-    p.add_argument("--csv", default=None, help="append the report to this CSV file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,16 +268,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--test", default=None)
     p_train.add_argument("--out", default=None, help="model file path")
+    p_train.add_argument("--C", type=float, default=1.0)
+    p_train.add_argument("--verbose", action="store_true")
+    p_train.add_argument("--csv", default=None, help="append the report to this CSV file")
     _add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score a saved model on a data file")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--csv", default=None)
+    p_eval.add_argument("--csv", default=None, help="append the report to this CSV file")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_cv = sub.add_parser("cv", help="cross-validate over an (eps, C) grid")
+    # No prefix matching: train's --C would otherwise be read as --C-grid.
+    p_cv = sub.add_parser("cv", help="cross-validate over an (eps, C) grid", allow_abbrev=False)
     p_cv.add_argument("--data", required=True)
     p_cv.add_argument("--eps-grid", type=float, nargs="+", default=None, dest="eps_grid")
     p_cv.add_argument("--C-grid", type=float, nargs="+", default=None, dest="C_grid")
@@ -370,12 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args, parser):
     """Bad settings exit 2. The solver's are checked by building the
-    SolverConfig of every (eps, C) the command reads. C is checked as a
-    2-norm C in either margin mode, so it must be positive even where a hard
-    margin ignores it."""
+    SolverConfig of every eps given (--eps and --eps-grid) with every C the
+    command reads (train's --C, cv's grid). C is checked as a 2-norm C in
+    either margin mode, so it must be positive even where a hard margin
+    ignores it."""
     if hasattr(args, "eps"):
         eps_values = [args.eps, *(getattr(args, "eps_grid", None) or ())]
-        c_values = [args.C, *(getattr(args, "C_grid", None) or ())]
+        c_values = [args.C] if args.command == "train" else args.C_grid or DEFAULT_C_GRID
         try:
             for eps in eps_values:
                 for C in c_values:

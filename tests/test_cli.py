@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from mklmmwu import NumericalFailure
-from mklmmwu.cli import main, median_ci, stratified_folds
+from mklmmwu.cli import main, median_ci, run_protocol, stratified_folds
 from mklmmwu.solver import SolverConfig, iteration_budget
 
 from helpers import make_blobs, make_random_dataset
@@ -77,7 +79,7 @@ class TestTrain:
         def boom(*args, **kwargs):
             raise NumericalFailure(17)
 
-        monkeypatch.setattr(cli_mod, "train", boom)
+        monkeypatch.setattr(cli_mod, "fit", boom)
         assert main(["train", "--data", str(data)]) == 4
 
     def test_max_iters_reflected_in_report(self, tmp_path, capsys):
@@ -116,6 +118,31 @@ class TestTrain:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 3  # header + two runs
         assert lines[0].startswith("dataset,")
+
+    def test_csv_train_and_eval_rows_line_up(self, tmp_path, capsys):
+        data = tmp_path / "d.svm"
+        _write_blobs(data)
+        model_path, csv_path = tmp_path / "m.mkl", tmp_path / "runs.csv"
+        assert main(["train", "--data", str(data), "--out", str(model_path), "--max-iters", "40",
+                     "--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--data", str(data), "--csv", str(csv_path)]) == 0
+        eval_report = _report(capsys)
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            train_row, eval_row = csv.DictReader(fh)
+        assert None not in train_row and None not in eval_row  # no row longer than the header
+        assert train_row["train_error"] != ""
+        assert eval_row["train_error"] == ""
+        assert eval_row["test_error"] == eval_report["test_error"]
+        assert eval_row["active_kernels"] == eval_report["active_kernels"]
+
+    def test_csv_with_another_header_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.svm"
+        _write_blobs(data)
+        csv_path = tmp_path / "runs.csv"
+        csv_path.write_text("dataset,n,test_error\nx,1,0.5\n", encoding="utf-8")
+        assert main(["train", "--data", str(data), "--max-iters", "40", "--csv", str(csv_path)]) == 3
+        assert csv_path.read_text(encoding="utf-8") == "dataset,n,test_error\nx,1,0.5\n"
 
 
 class TestEval:
@@ -201,8 +228,9 @@ class TestCv:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--folds", "0"], ["--folds", "1"], ["--repeats", "0"], ["--jobs", "0"]],
-        ids=["folds0", "folds1", "repeats0", "jobs0"],
+        [["--folds", "0"], ["--folds", "1"], ["--repeats", "0"], ["--jobs", "0"],
+         ["--C", "1"], ["--csv", "x"], ["--verbose"]],  # train's options; cv does not read them
+        ids=["folds0", "folds1", "repeats0", "jobs0", "C", "csv", "verbose"],
     )
     def test_bad_counts_exit_2(self, tmp_path, flags):
         data = tmp_path / "d.svm"
@@ -210,6 +238,33 @@ class TestCv:
         with pytest.raises(SystemExit) as err:
             main(["cv", "--data", str(data), "--C-grid", "1", "--max-iters", "50", *flags])
         assert err.value.code == 2
+
+    def test_empty_fold_is_skipped(self, tmp_path, capsys):
+        # 6 records, 80/20 split at seed 1: 5 train points, so one of 4 folds has no val point
+        data = tmp_path / "d.svm"
+        data.write_text("".join(f"{y} 1:{i / 5:g} 2:{(i * 3 % 5) / 5:g}\n"
+                                for i, y in enumerate(["+1", "+1", "+1", "+1", "-1", "-1"])), encoding="utf-8")
+        code = main(["cv", "--data", str(data), "--C-grid", "1", "--folds", "4", "--max-iters", "20", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "eps      C        mean_cv_error" in captured.out
+        assert "repeats=1" in captured.out
+        assert captured.err.count("warning: skipping a fold") == 1
+
+    def test_every_fold_skipped_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:0.1\n-1 1:0.9\n-1 1:0.7\n", encoding="utf-8")
+        code = main(["cv", "--data", str(data), "--C-grid", "1", "--folds", "2", "--max-iters", "20", "--seed", "0"])
+        assert code == 3
+        assert "every fold was skipped" in capsys.readouterr().err
+
+    def test_pool_and_serial_records_agree(self):
+        data = make_random_dataset(40, 3, 12)  # no signal, so the CV errors differ per cell
+        kwargs = dict(eps_grid=[0.3], c_grid=[1.0, 10.0], folds=2, repeats=2, seed=3, max_iters=100)
+        serial = run_protocol(data, jobs=1, **kwargs)
+        pooled = run_protocol(data, jobs=2, **kwargs)
+        assert len(serial) == 2
+        assert pooled == serial
 
     @pytest.mark.parametrize(
         "flags", [["--C-grid", "-1"], ["--eps-grid", "nan"]], ids=["C_grid_negative", "eps_grid_nan"]
