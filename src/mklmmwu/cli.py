@@ -32,7 +32,8 @@ DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
 
 
 def _load_dataset(path, n_features=None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig reads UTF-8 and drops a leading byte-order mark
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_libsvm(fh, n_features=n_features)
 
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -75,19 +76,15 @@ class ScalingParams:
         return self.mins.shape[0]
 
 
-# Raw label encodings accepted, each mapped with the larger raw label -> +1.
-_LABEL_MAPS = (
-    ({-1.0, 1.0}, {-1.0: -1.0, 1.0: 1.0}),
-    ({0.0, 1.0}, {0.0: -1.0, 1.0: 1.0}),
-    ({1.0, 2.0}, {1.0: -1.0, 2.0: 1.0}),
-)
+# Raw label encodings accepted as (low, high) pairs; high maps to +1, low to -1.
+_LABEL_PAIRS = ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
 
 
-def _map_labels(raw: list) -> np.ndarray:
-    seen = set(raw)
-    for domain, mapping in _LABEL_MAPS:
-        if seen <= domain:
-            return np.array([mapping[v] for v in raw], dtype=np.float64)
+def _map_labels(raw: np.ndarray) -> np.ndarray:
+    seen = set(raw.tolist())
+    for low, high in _LABEL_PAIRS:
+        if seen <= {low, high}:
+            return np.where(raw == high, 1.0, -1.0)
     raise NonBinaryLabels(f"label set {sorted(seen)} is not a supported binary encoding")
 
 
@@ -99,22 +96,25 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     absent indices are zero. The width is the largest index seen, or
     `n_features` when given (it must cover every index in the file).
 
-    A record is split on whitespace and each feature token at its first
-    colon; `map(int, ...)`, `map(float, ...)` and the record checks
-    (indices 1-based and strictly increasing, values finite) run over the whole
-    record in C. A record that fails is walked token by token to report
-    its first fault, so the fast path never decides an error message. One
-    fancy-index assignment fills the dense array; a width too large to
+    The source is read one line at a time, with the line breaks of
+    `str.splitlines`. A record is split on whitespace and each feature token
+    at its first colon; `map(int, ...)`, `map(float, ...)` and the record
+    checks (indices 1-based and strictly increasing, values finite) run over
+    the whole record in C. A record that fails is walked token by token to
+    report its first fault, so the fast path never decides an error message.
+    Labels, counts, indices and values collect in typed buffers, and one
+    flat-index assignment fills the dense array; a width too large to
     allocate raises ParseError at the first line that uses the largest index.
     """
-    text = source.read() if hasattr(source, "read") else source
+    if isinstance(source, str):
+        source = _cut_lines(source)
     limit = math.inf if n_features is None else n_features
-    raw_labels: list[float] = []
-    counts: list[int] = []
-    indices: list[int] = []
-    values: list[float] = []
+    labels = array("d")
+    counts = array("q")
+    indices = array("q")
+    values = array("d")
     top = top_line = 0  # largest index and the first line that uses it
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(chain.from_iterable(map(str.splitlines, source)), start=1):
         tokens = raw_line.partition("#")[0].split()
         if not tokens:
             continue
@@ -137,21 +137,34 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
                 raise ParseError(line_no, f"file uses index {idx[-1]} > n_features={n_features}")
             if idx[-1] > top:
                 top, top_line = idx[-1], line_no
-            indices += idx
-            values += vals
-        raw_labels.append(label)
+            if top < 1 << 63:  # wider cannot be allocated; the rest of the file is only checked
+                indices.fromlist(idx)
+                values.fromlist(vals)
+        labels.append(label)
         counts.append(len(feats))
-    if not raw_labels:
+    if not labels:
         raise EmptyDataset("no data records found")
+    n = len(labels)
     d = max(top, 1) if n_features is None else max(n_features, 1)
     try:
-        points = np.zeros((len(raw_labels), d))
-    except MemoryError:
-        raise ParseError(
-            top_line, f"a dense {len(raw_labels)} x {d} array (largest index {top}) cannot be allocated"
-        ) from None
-    points[np.repeat(np.arange(len(counts)), counts), np.array(indices, dtype=np.intp) - 1] = values
-    return Dataset(points, _map_labels(raw_labels))
+        points = np.zeros((n, d))
+    except (MemoryError, ValueError):  # ValueError: a width past what numpy can index
+        raise ParseError(top_line, f"a dense {n} x {d} array (largest index {top}) cannot be allocated") from None
+    # flat position of each entry: row * d + index - 1, built in the index buffer
+    flat = np.frombuffer(indices, dtype=np.int64)
+    flat += np.repeat(np.arange(-1, n * d - 1, d, dtype=np.int64), np.frombuffer(counts, dtype=np.int64))
+    points.put(flat, np.frombuffer(values))
+    return Dataset(points, _map_labels(np.frombuffer(labels)))
+
+
+def _cut_lines(text: str):
+    """`text` cut after each newline, as iterating a text file cuts it, one
+    piece at a time: io.StringIO would copy the text at 4 bytes a character."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        yield text[start:stop]
+        start = stop
 
 
 def _raise_first_fault(line_no: int, feats: list[str]) -> None:

@@ -82,6 +82,19 @@ class TestTrain:
         monkeypatch.setattr(cli_mod, "fit", boom)
         assert main(["train", "--data", str(data)]) == 4
 
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # 40 blobs split with seed 1 leave both classes on each side
+        text = serialize_libsvm(make_blobs(40, 0)).encode("utf-8")
+        reports = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            path = tmp_path / name / "d.svm"
+            path.parent.mkdir()
+            path.write_bytes(data)
+            assert main(["train", "--data", str(path), "--max-iters", "5", "--seed", "1"]) == 0
+            reports.append(_report(capsys))
+            del reports[-1]["wall_seconds"]
+        assert reports[0] == reports[1]
+
     def test_max_iters_reflected_in_report(self, tmp_path, capsys):
         data = tmp_path / "d.svm"
         _write_blobs(data)

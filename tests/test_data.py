@@ -1,3 +1,6 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from mklmmwu import (
     Dataset,
     EmptyDataset,
+    MklError,
     NonBinaryLabels,
     OneClassSplit,
     ParseError,
@@ -16,6 +20,11 @@ from mklmmwu import (
 )
 
 from reference import serialize_libsvm
+
+
+def _as_file(text: str):
+    """A text file object over `text`, read with universal newlines as `open` reads."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 class TestParse:
@@ -74,6 +83,11 @@ class TestParse:
         # can allocate; the error names line 2, not the repeat on line 3
         with pytest.raises(ParseError, match="line 2: .*largest index 99999999999"):
             parse_libsvm("+1 1:1\n-1 99999999999:1\n+1 5:1 99999999999:2")
+        # an index past int64 is reported alike, after the rest of the file is checked
+        with pytest.raises(ParseError, match=f"line 2: .*largest index {2**64}"):
+            parse_libsvm(f"+1 1:1\n-1 {2**64}:1\n+1 5:1 {2**64}:2")
+        with pytest.raises(ParseError, match="line 3: bad label 'x'"):
+            parse_libsvm(f"+1 1:1\n-1 {2**64}:1\nx 5:1")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -95,9 +109,10 @@ class TestParse:
         ],
     )
     def test_error_messages(self, text, message):
-        with pytest.raises(ParseError) as exc:
-            parse_libsvm(text)
-        assert str(exc.value) == message
+        for source in (text, _as_file(text)):
+            with pytest.raises(ParseError) as exc:
+                parse_libsvm(source)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "text, points",
@@ -109,9 +124,10 @@ class TestParse:
         ],
     )
     def test_accepted_records(self, text, points):
-        ds = parse_libsvm(text)
-        assert np.array_equal(ds.points, points)
-        assert np.array_equal(ds.labels, [1.0, -1.0])
+        for source in (text, _as_file(text)):
+            ds = parse_libsvm(source)
+            assert np.array_equal(ds.points, points)
+            assert np.array_equal(ds.labels, [1.0, -1.0])
 
     def test_parse_serialize_parse_idempotent(self):
         text = "+1 1:0.5 3:1.0\n-1 2:0.25\n+1 1:0.125\n"
@@ -120,6 +136,65 @@ class TestParse:
         assert np.array_equal(first.points, second.points)
         assert np.array_equal(first.labels, second.labels)
         assert serialize_libsvm(first) == serialize_libsvm(second)
+
+
+# every line break str.splitlines knows
+_LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+_FAULTY = ("x 1:1", "+1 2:1 2:2", "+1 1:nan", "-1 5")
+_records = st.one_of(
+    st.tuples(
+        st.sampled_from(("+1", "-1", "1", "2")),
+        st.lists(st.integers(1, 6), unique=True, max_size=4).map(sorted),
+        st.lists(st.floats(-1e3, 1e3).map(repr), min_size=4, max_size=4),
+        st.sampled_from(("", " # c", "#x:y", "\t")),
+    ).map(lambda r: " ".join([r[0], *(f"{i}:{v}" for i, v in zip(r[1], r[2]))]) + r[3]),
+    st.sampled_from(("", "   ", "# only a comment")),
+    st.sampled_from(_FAULTY),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_records, st.sampled_from(_LINE_BREAKS)), max_size=8), st.booleans())
+def test_str_and_file_sources_parse_alike(lines, final_break):
+    text = "".join(record + brk for record, brk in lines)
+    if lines and not final_break:
+        text = text[: -len(lines[-1][1])]
+    outcomes = []
+    for source in (text, _as_file(text)):
+        try:
+            ds = parse_libsvm(source)
+            outcomes.append((ds.points.shape, ds.points.tobytes(), ds.labels.tobytes()))
+        except ParseError as exc:  # its line counts the lines of str.splitlines
+            assert text.splitlines()[exc.line_no - 1] in _FAULTY
+            outcomes.append((type(exc), str(exc)))
+        except MklError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_parse_peak_memory_is_a_few_dense_arrays(tmp_path):
+    # 5000 x 33 with every feature present, like the benchmark's query file;
+    # holding the text, its lines and boxed numbers took 12x the dense array
+    rng = np.random.default_rng(5)
+    n, d = 5000, 33
+    path = tmp_path / "dense.svm"
+    with open(path, "w", encoding="utf-8") as fh:
+        for x in rng.random((n, d)):
+            fh.write("+1 " + " ".join(f"{j + 1}:{v:.17g}" for j, v in enumerate(x)) + "\n")
+    tracemalloc.start()
+    with open(path, encoding="utf-8") as fh:
+        ds = parse_libsvm(fh)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert ds.points.shape == (n, d)
+    assert peak <= 5 * ds.points.nbytes, f"file: peak {peak / ds.points.nbytes:.2f}x the dense array"
+    text = path.read_text(encoding="utf-8")  # the caller's copy is not the parser's
+    tracemalloc.start()
+    parse_libsvm(text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 5 * ds.points.nbytes, f"str: peak {peak / ds.points.nbytes:.2f}x the dense array"
 
 
 # about 30% exact zeros; the rest any finite double, subnormals, -0.0 and
