@@ -28,6 +28,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+DEFAULT_EPS = 0.2
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
 
 
@@ -41,28 +42,20 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int):
     """Round-robin per-class assignment: fold class ratios stay within one
     sample of the global ratio. Yields (train_idx, val_idx) pairs."""
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
+    fold = np.full(labels.size, -1, dtype=np.intp)
     for cls in (1.0, -1.0):
         idx = np.flatnonzero(labels == cls)
-        idx = idx[rng.permutation(idx.size)]
-        for pos, j in enumerate(idx):
-            folds[pos % k].append(int(j))
-    all_idx = set(range(labels.size))
-    out = []
-    for f in folds:
-        val = np.array(sorted(f), dtype=np.intp)
-        trn = np.array(sorted(all_idx - set(f)), dtype=np.intp)
-        out.append((trn, val))
-    return out
+        fold[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % k
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
-def median_ci(values, confidence=0.95):
-    """Order-statistic confidence interval for the median (sign-test bounds)."""
+def median_ci(values):
+    """Order-statistic 95% confidence interval for the median (sign-test bounds)."""
     xs = sorted(values)
     n = len(xs)
     if n < 6:
         return xs[0], xs[-1]
-    tail = (1.0 - confidence) / 2.0
+    tail = 0.025  # each side of a two-sided 95% interval
     cdf = 0.0
     lo_rank = 0
     for k in range(n + 1):
@@ -216,7 +209,7 @@ def run_protocol(data: Dataset, eps_grid, c_grid, margin="l2", folds=5, repeats=
 def cmd_cv(args) -> int:
     data = _load_dataset(args.data)
     results = run_protocol(
-        data, args.eps_grid or [args.eps], args.C_grid or DEFAULT_C_GRID, margin=args.margin,
+        data, args.eps_grid, args.C_grid, margin=args.margin,
         folds=args.folds, repeats=args.repeats, seed=args.seed, per_feature=args.per_feature_kernels,
         train_fraction=args.train_fraction, max_iters=args.max_iters, jobs=args.jobs,
     )
@@ -251,7 +244,6 @@ def cmd_cv(args) -> int:
 def _add_common(p):
     """The options that train and cv both read."""
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--margin", choices=("hard", "l2"), default="l2")
     p.add_argument("--per-feature-kernels", action="store_true", dest="per_feature_kernels")
     p.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
@@ -269,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--test", default=None)
     p_train.add_argument("--out", default=None, help="model file path")
+    p_train.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p_train.add_argument("--C", type=float, default=1.0)
     p_train.add_argument("--verbose", action="store_true")
     p_train.add_argument("--csv", default=None, help="append the report to this CSV file")
@@ -284,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     # No prefix matching: train's --C would otherwise be read as --C-grid.
     p_cv = sub.add_parser("cv", help="cross-validate over an (eps, C) grid", allow_abbrev=False)
     p_cv.add_argument("--data", required=True)
-    p_cv.add_argument("--eps-grid", type=float, nargs="+", default=None, dest="eps_grid")
-    p_cv.add_argument("--C-grid", type=float, nargs="+", default=None, dest="C_grid")
+    p_cv.add_argument("--eps-grid", type=float, nargs="+", default=(DEFAULT_EPS,), dest="eps_grid")
+    p_cv.add_argument("--C-grid", type=float, nargs="+", default=DEFAULT_C_GRID, dest="C_grid")
     p_cv.add_argument("--folds", type=int, default=5)
     p_cv.add_argument("--repeats", type=int, default=1)
     p_cv.add_argument("--jobs", type=int, default=1)
@@ -297,13 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args, parser):
     """Bad settings exit 2. The solver's are checked by building the
-    SolverConfig of every eps given (--eps and --eps-grid) with every C the
-    command reads (train's --C, cv's grid). C is checked as a 2-norm C in
-    either margin mode, so it must be positive even where a hard margin
-    ignores it."""
-    if hasattr(args, "eps"):
-        eps_values = [args.eps, *(getattr(args, "eps_grid", None) or ())]
-        c_values = [args.C] if args.command == "train" else args.C_grid or DEFAULT_C_GRID
+    SolverConfig of every eps with every C the command reads (train's --eps
+    and --C, cv's grids). C is checked as a 2-norm C in either margin mode,
+    so it must be positive even where a hard margin ignores it."""
+    if args.command != "eval":
+        eps_values = [args.eps] if args.command == "train" else args.eps_grid
+        c_values = [args.C] if args.command == "train" else args.C_grid
         try:
             for eps in eps_values:
                 for C in c_values:

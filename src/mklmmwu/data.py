@@ -92,9 +92,9 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     """Parse LibSVM text into a dense, unscaled Dataset.
 
     `source` is a string or a text file object. Each record reads
-    `<label> <index>:<value> ...` with strictly increasing 1-based indices;
-    absent indices are zero. The width is the largest index seen, or
-    `n_features` when given (it must cover every index in the file).
+    `<label> <index>:<value> ...` with a finite label and strictly increasing
+    1-based indices; absent indices are zero. The width is the largest index
+    seen, or `n_features` when given (it must cover every index in the file).
 
     The source is read one line at a time, with the line breaks of
     `str.splitlines`. A record is split on whitespace and each feature token
@@ -121,7 +121,9 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
         try:
             label = float(tokens[0])
         except ValueError:
-            raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
+            label = math.nan
+        if not math.isfinite(label):
+            raise ParseError(line_no, f"bad label {tokens[0]!r}")
         feats = tokens[1:]
         if feats:
             idx_s, _, val_s = zip(*map(str.partition, feats, repeat(":")))

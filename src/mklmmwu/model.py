@@ -19,7 +19,7 @@ from .errors import DegenerateModel, MalformedModel
 from .kernels import GramAccessor, KernelSpec, group_order
 from .solver import MIN_QUADFORM, SolverConfig, SolverState, train
 
-_HEADER = "mklmmwu v1"
+_HEADER = "mklmmwu v2"
 
 
 @dataclass
@@ -160,7 +160,6 @@ def save_model(model: MklModel, sink) -> None:
         w(f"C {_fmt(model.config.C)}\n")
     w(f"eps {_fmt(model.config.eps)}\n")
     w(f"rho {_fmt(model.config.rho)}\n")
-    w(f"quash {_fmt(model.config.quash_threshold)}\n")
     w(f"dim {model.d}\n")
     if model.scaling is not None:
         w("scale_min " + " ".join(_fmt(v) for v in model.scaling.mins) + "\n")
@@ -251,7 +250,6 @@ def load_model(source) -> MklModel:
     C = _floats(rd.next("C")[1:], 1, "C")[0] if margin == "l2" else None
     eps = _floats(rd.next("eps")[1:], 1, "eps")[0]
     rho = _floats(rd.next("rho")[1:], 1, "rho")[0]
-    quash = _floats(rd.next("quash")[1:], 1, "quash")[0]
     try:
         dim = int(rd.next("dim")[1])
     except (IndexError, ValueError):
@@ -313,7 +311,7 @@ def load_model(source) -> MklModel:
         raise MalformedModel(f"unexpected trailing record {trailing!r}")
     sv = np.array(rows)
     try:
-        config = SolverConfig(eps=eps, rho=rho, margin=margin, C=C, quash_threshold=quash)
+        config = SolverConfig(eps=eps, rho=rho, margin=margin, C=C)
     except ValueError as exc:
         raise MalformedModel(str(exc)) from None
     return MklModel(

@@ -44,16 +44,16 @@ class SolverConfig:
     eps is the target approximation error; rho the spectral width bound,
     3/2 for trace-normalized kernels. Margin is "hard" or "l2" (2-norm soft
     margin with parameter C, realized as ridge = 1/C on each kernel).
-    quash_threshold switches cosh/sinh to a shifted exp once the largest
-    exponent would otherwise overflow; the shift cancels in normalization.
     """
 
     eps: float
     rho: float = 1.5
     margin: str = "hard"
     C: float | None = None
-    quash_threshold: float = 20.0
     max_iters_override: int | None = None
+
+    # exponentiate_m's overflow guard; unannotated, so a constant, not a field
+    quash_threshold = 20.0
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -66,8 +66,6 @@ class SolverConfig:
             raise ValueError("margin must be 'hard' or 'l2'")
         if self.margin == "l2" and (self.C is None or not self.C > 0.0):
             raise ValueError("2-norm margin requires C > 0")
-        if not self.quash_threshold > 0.0:
-            raise ValueError("quash_threshold must be positive")
         if self.max_iters_override is not None and self.max_iters_override < 1:
             raise ValueError("max_iters_override must be at least 1")
 

@@ -242,8 +242,8 @@ class TestCv:
     @pytest.mark.parametrize(
         "flags",
         [["--folds", "0"], ["--folds", "1"], ["--repeats", "0"], ["--jobs", "0"],
-         ["--C", "1"], ["--csv", "x"], ["--verbose"]],  # train's options; cv does not read them
-        ids=["folds0", "folds1", "repeats0", "jobs0", "C", "csv", "verbose"],
+         ["--C", "1"], ["--eps", "0.3"], ["--csv", "x"], ["--verbose"]],  # train's options; cv does not read them
+        ids=["folds0", "folds1", "repeats0", "jobs0", "C", "eps", "csv", "verbose"],
     )
     def test_bad_counts_exit_2(self, tmp_path, flags):
         data = tmp_path / "d.svm"

@@ -106,6 +106,9 @@ class TestParse:
             ("+1 2:1 1:x", "line 1: bad feature token '1:x'"),
             ("x 1:1", "line 1: bad label 'x'"),
             ("+1 1:1\n\n-1 1:2 1:3", "line 3: feature index 1 not strictly increasing"),
+            ("nan 1:1", "line 1: bad label 'nan'"),
+            ("+1 1:1\ninf 1:2", "line 2: bad label 'inf'"),
+            ("-inf 1:1", "line 1: bad label '-inf'"),
         ],
     )
     def test_error_messages(self, text, message):

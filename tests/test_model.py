@@ -339,7 +339,7 @@ class TestSerialization:
     def test_bad_header_rejected(self):
         text = serialize_model(self._model())
         with pytest.raises(MalformedModel):
-            load_model(text.replace("mklmmwu v1", "mklmmwu v2", 1))
+            load_model(text.replace("mklmmwu v2", "mklmmwu v1", 1))
 
     def test_garbled_field_rejected(self):
         text = serialize_model(self._model(scaling=False))
@@ -460,7 +460,7 @@ class TestMutatedModelFiles:
 
     @pytest.mark.parametrize(
         "key, i, token",
-        [("margin", 1, ""), ("dim", 5, "99999999999"), ("n_support", 6, "99999999999")],
+        [("margin", 1, ""), ("dim", 4, "99999999999"), ("n_support", 5, "99999999999")],
         ids=["bare_margin", "huge_dim_without_scaling", "huge_n_support"],
     )
     def test_header_faults(self, key, i, token):
@@ -479,8 +479,8 @@ class TestMutatedModelFiles:
         token=st.sampled_from(("", "nan", "-1", "0", "99999999999")),
     )
     @example(scaled=False, op="token", i=1, j=0, k=1, token="")
+    @example(scaled=False, op="token", i=4, j=0, k=1, token="99999999999")
     @example(scaled=False, op="token", i=5, j=0, k=1, token="99999999999")
-    @example(scaled=False, op="token", i=6, j=0, k=1, token="99999999999")
     def test_mutated_file_loads_or_raises_malformed_property(self, scaled, op, i, j, k, token):
         # one deleted, duplicated or swapped line, or one replaced token
         text = _mutated(scaled, op, i, j, k, token)

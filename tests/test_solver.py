@@ -39,6 +39,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(eps=0.2, margin="l1")
 
+    def test_quash_threshold_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            SolverConfig(eps=0.2, quash_threshold=5.0)
+
     def test_eps_prime_value(self):
         cfg = SolverConfig(eps=0.2)
         # direct arithmetic: -ln(1 - 0.2/3)
@@ -106,10 +110,10 @@ class TestArrowExp:
             assert np.abs(closed - series).max() <= 1e-9 * np.abs(series).max()
 
 
-def _two_point_state(quash=20.0):
+def _two_point_state():
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
     spec = [KernelSpec("gaussian", SIGMA_HALF)]
-    cfg = SolverConfig(eps=0.2, margin="hard", quash_threshold=quash, max_iters_override=10)
+    cfg = SolverConfig(eps=0.2, margin="hard", max_iters_override=10)
     acc = bind(spec, ds, margin_mode="hard")
     return SolverState.fresh(acc, cfg), acc, cfg
 
@@ -147,7 +151,7 @@ class TestExponentiate:
         assert shifted[0] == pytest.approx(1.0, rel=1e-9)
         assert shifted[1] == pytest.approx(math.exp(-0.7), rel=1e-9)
 
-    def test_quash_matches_exact_branch_at_large_s(self):
+    def test_quash_matches_exact_branch_at_large_s(self, monkeypatch):
         # both branches are computable for s around 25; the shifted exp must
         # agree with cosh/sinh up to the asymptotic e^{-2s} correction
         ds = make_random_dataset(10, 2, 1)
@@ -160,7 +164,8 @@ class TestExponentiate:
         quashed = SolverState.fresh(acc, cfg)
         quashed.q, quashed.w = q.copy(), w.copy()
         p12_q, g_q = exponentiate_m(quashed)
-        exact = SolverState.fresh(acc, SolverConfig(eps=0.2, margin="hard", quash_threshold=1e9))
+        monkeypatch.setattr(SolverConfig, "quash_threshold", 1e9)
+        exact = SolverState.fresh(acc, cfg)
         exact.q, exact.w = q.copy(), w.copy()
         p12_e, g_e = exponentiate_m(exact)
         assert np.abs(g_q - g_e).max() <= 1e-10 * np.abs(g_e).max()
