@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -55,15 +54,14 @@ def median_ci(values):
     n = len(xs)
     if n < 6:
         return xs[0], xs[-1]
-    tail = 0.025  # each side of a two-sided 95% interval
-    cdf = 0.0
-    lo_rank = 0
-    for k in range(n + 1):
-        term = math.comb(n, k) * 0.5**n
-        if cdf + term > tail:
-            lo_rank = k
-            break
-        cdf += term
+    # lo_rank is the first k with P(Binomial(n, 1/2) <= k) above 0.025, each
+    # tail of a two-sided 95% interval; exact integers, as 2^n outgrows a float
+    term = count = 1  # C(n, k) and its running sum, at k = 0
+    lo_rank, total = 0, 2**n
+    while 40 * count <= total:
+        term = term * (n - lo_rank) // (lo_rank + 1)
+        count += term
+        lo_rank += 1
     lo_rank = max(lo_rank, 1)
     hi_rank = n + 1 - lo_rank
     return xs[lo_rank - 1], xs[hi_rank - 1]

@@ -110,21 +110,13 @@ def make_default_family(d: int, per_feature: bool = False) -> list[KernelSpec]:
     return family
 
 
-def bind(specs, dataset: Dataset, C: float | None = None, margin_mode: str = "hard") -> "GramAccessor":
+def bind(specs, dataset: Dataset, ridge: float = 0.0) -> "GramAccessor":
     """Attach specs to a training set: fix ridge and the unit-trace normalizer.
 
-    Ridge is 1/C in 2-norm soft-margin mode and 0 in hard-margin mode; it is
-    added to the kernel diagonal before trace normalization so the effective
-    G_i keeps trace exactly 1.
+    `ridge` is `SolverConfig.ridge` (1/C under a 2-norm soft margin, 0 under
+    a hard margin); it is added to the kernel diagonal before trace
+    normalization so the effective G_i keeps trace exactly 1.
     """
-    if margin_mode not in ("hard", "l2"):
-        raise ValueError(f"margin_mode must be 'hard' or 'l2', got {margin_mode!r}")
-    if margin_mode == "l2":
-        if C is None or not C > 0.0:
-            raise ValueError("2-norm soft margin requires C > 0")
-        ridge = 1.0 / C
-    else:
-        ridge = 0.0
     pts = dataset.points
     if pts.min(initial=0.0) < -1e-9 or pts.max(initial=0.0) > 1.0 + 1e-9:
         raise ValueError("dataset must be scaled to [0,1] before binding")
@@ -265,10 +257,10 @@ class GramAccessor:
     `columns_at(x)` returns the (m, n) block whose row i is kappa_i(x_k, x)
     for every point k, with no ridge, no trace normalizer and no label signs.
     Training asks for the block at its own points, `signed_columns_all(j)`,
-    which is column j of every raw kernel matrix K_i; the solver folds ridge,
-    1/r_i and signs into its O(m) and O(n) vectors through `labels`, `inv_r`
-    and `ridge`. Prediction asks for the block at query points, over the
-    model's support points.
+    which is column j of every raw kernel matrix K_i; the solver folds 1/r_i
+    and signs into its O(m) and O(n) vectors through `inv_r` and `labels`,
+    and adds its config's ridge itself. Prediction asks for the block at
+    query points, over the model's support points.
     """
 
     def __init__(self, bound_specs, dataset: Dataset):
@@ -285,9 +277,8 @@ class GramAccessor:
         # squared distance, |x_k|^2/2 + |x_j|^2/2 - x_k.x_j, with twice the
         # coefficient, which is exact and saves a pass per column.
         self._half_row_sq = 0.5 * np.einsum("ij,ij->i", self._X, self._X)
-        #: (m,) trace normalizers 1/r_i and ridges, for folding into the solver's vectors
+        #: (m,) trace normalizers 1/r_i, for folding into the solver's vectors
         self.inv_r = np.array([1.0 / s.r for s in self.specs])
-        self.ridge = np.array([s.ridge for s in self.specs])
         self._plan = _plan(self.specs)
         self._calls: dict[int, tuple] = {}
         # per-column inputs of the plan's root steps, rewritten by every call

@@ -19,7 +19,7 @@ from .errors import DegenerateModel, MalformedModel
 from .kernels import GramAccessor, KernelSpec, group_order
 from .solver import MIN_QUADFORM, SolverConfig, SolverState, train
 
-_HEADER = "mklmmwu v2"
+_HEADER = "mklmmwu v3"
 
 
 @dataclass
@@ -75,9 +75,9 @@ def compute_bias(state: SolverState, mu: np.ndarray) -> float:
     """Bias of the perpendicular bisector between the two class hull points.
 
     b = (|p_minus|^2 - |p_plus|^2) / 2 in the mu-weighted regularized kernel
-    sum_i mu_i (K_i + ridge_i I) / r_i, with hull coefficients 2 alpha_bar / t.
+    sum_i mu_i (K_i + ridge I) / r_i, with hull coefficients 2 alpha_bar / t.
     The cross terms cancel in the difference of the hull norms, which leaves
-    b = -2/t^2 sum_i mu_i / r_i alpha_bar . (K_i + ridge_i I)(y alpha_bar),
+    b = -2/t^2 sum_i mu_i / r_i alpha_bar . (K_i + ridge I)(y alpha_bar),
     that is -1/t^2 sum_i mu_i / r_i alpha_bar . w_i in the solver's cache of
     pick counts: O(m n), with no kernel column.
     """
@@ -151,7 +151,9 @@ def _fmt(x: float) -> str:
 def save_model(model: MklModel, sink) -> None:
     """Write the line-based model file; floats carry 17 significant digits.
 
-    Kernels with mu = 0 are omitted, which leaves predictions unchanged.
+    Each kernel is one record `<kind> <param> <scope> <r> <mu>`; its ridge is
+    the config's and is not written. Kernels with mu = 0 are omitted, which
+    leaves predictions unchanged.
     """
     w = sink.write
     w(_HEADER + "\n")
@@ -170,13 +172,8 @@ def save_model(model: MklModel, sink) -> None:
         if mu == 0.0:
             continue
         scope = "all" if spec.feature is None else str(spec.feature)
-        if spec.kind == "gaussian":
-            w(f"gaussian {_fmt(spec.param)} {scope}\n")
-        else:
-            w(f"poly {int(spec.param)} {scope}\n")
-        w(f"r {_fmt(spec.r)}\n")
-        w(f"ridge {_fmt(spec.ridge)}\n")
-        w(f"mu {_fmt(mu)}\n")
+        param = _fmt(spec.param) if spec.kind == "gaussian" else int(spec.param)
+        w(f"{spec.kind} {param} {scope} {_fmt(spec.r)} {_fmt(mu)}\n")
     for x, y, c in zip(model.support_points, model.support_labels, model.support_coefs):
         coords = " ".join(_fmt(v) for v in x)
         w(f"sv {'+1' if y > 0 else '-1'} {_fmt(c)} {coords}\n")
@@ -271,26 +268,23 @@ def load_model(source) -> MklModel:
     if n_support < 1:
         raise MalformedModel(f"n_support must be positive, found {n_support}")
     bias = _finite(_floats(rd.next("bias")[1:], 1, "bias"), "bias")[0]
+    try:
+        config = SolverConfig(eps=eps, rho=rho, margin=margin, C=C)
+    except ValueError as exc:
+        raise MalformedModel(str(exc)) from None
 
     specs: list[KernelSpec] = []
     mus: list[float] = []
     while rd.peek() in ("gaussian", "poly"):
         parts = rd.next()
-        if len(parts) != 3:
-            raise MalformedModel(f"kernel line needs 3 fields, found {len(parts)}")
-        kind = parts[0]
-        try:
-            param = float(parts[1])
-        except ValueError:
-            raise MalformedModel(f"bad kernel parameter {parts[1]!r}") from None
+        if len(parts) != 5:
+            raise MalformedModel(f"kernel line needs 5 fields, found {len(parts)}")
+        param, r, mu = _floats([parts[1], parts[3], parts[4]], 3, "kernel")
         feature = None if parts[2] == "all" else _feature_index(parts[2], dim)
-        r = _floats(rd.next("r")[1:], 1, "r")[0]
-        ridge = _floats(rd.next("ridge")[1:], 1, "ridge")[0]
-        mu = _floats(rd.next("mu")[1:], 1, "mu")[0]
         if not (math.isfinite(mu) and mu > 0.0):
             raise MalformedModel(f"kernel weight mu must be finite and positive, found {mu}")
         try:
-            specs.append(KernelSpec(kind, param, feature, r=r, ridge=ridge))
+            specs.append(KernelSpec(parts[0], param, feature, r=r, ridge=config.ridge))
         except ValueError as exc:
             raise MalformedModel(str(exc)) from None
         mus.append(mu)
@@ -310,10 +304,6 @@ def load_model(source) -> MklModel:
     if trailing is not None:
         raise MalformedModel(f"unexpected trailing record {trailing!r}")
     sv = np.array(rows)
-    try:
-        config = SolverConfig(eps=eps, rho=rho, margin=margin, C=C)
-    except ValueError as exc:
-        raise MalformedModel(str(exc)) from None
     return MklModel(
         specs=tuple(specs),
         mu=np.array(mus),

@@ -9,16 +9,17 @@ arrow matrices, which collapses to a cosh/sinh pair per kernel.
 
 The kernel cache is kept in pick counts: with c = 2 alpha_bar (how often each
 point was chosen, an integer vector), the solver keeps
-w_i = (K_i + ridge_i I)(y * c), unsigned and without 1/r_i, and the quadforms
-q_i = alpha_bar' G_i alpha_bar with G_i = Y (K_i + ridge_i I) Y / r_i. Labels,
+w_i = (K_i + ridge I)(y * c), unsigned and without 1/r_i, and the quadforms
+q_i = alpha_bar' G_i alpha_bar with G_i = Y (K_i + ridge I) Y / r_i. Labels,
 1/r_i and the factor 2 between c and alpha_bar live only in O(m) vectors, and
-the ridge only in two entries per kernel and step:
+the ridge, one number per fit (`SolverConfig.ridge`), only in two entries per
+kernel and step:
 
 - q_i grows by (w_i[jp] - w_i[jm]) / (2 r_i)
-  + (K_i[jp,jp] + K_i[jm,jm] - 2 K_i[jp,jm] + 2 ridge_i) / (4 r_i);
+  + (K_i[jp,jp] + K_i[jm,jm] - 2 K_i[jp,jm] + 2 ridge) / (4 r_i);
 - g = y * (c' @ w) with c'_i = p12_i / (sqrt(q_i) r_i);
 - w_i moves by the raw K_i[:,jp] - K_i[:,jm] in one unscaled pass, plus
-  ridge_i at jp and -ridge_i at jm.
+  ridge at jp and -ridge at jm.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class SolverConfig:
 
     eps is the target approximation error; rho the spectral width bound,
     3/2 for trace-normalized kernels. Margin is "hard" or "l2" (2-norm soft
-    margin with parameter C, realized as ridge = 1/C on each kernel).
+    margin with parameter C, realized as ridge = 1/C on each kernel); a hard
+    margin takes no C.
     """
 
     eps: float
@@ -66,8 +68,16 @@ class SolverConfig:
             raise ValueError("margin must be 'hard' or 'l2'")
         if self.margin == "l2" and (self.C is None or not self.C > 0.0):
             raise ValueError("2-norm margin requires C > 0")
+        if self.margin == "hard" and self.C is not None:
+            raise ValueError("a hard margin takes no C")
         if self.max_iters_override is not None and self.max_iters_override < 1:
             raise ValueError("max_iters_override must be at least 1")
+
+    @property
+    def ridge(self) -> float:
+        """The diagonal shift of every kernel: 1/C under a 2-norm soft margin,
+        0 under a hard margin."""
+        return 1.0 / self.C if self.margin == "l2" else 0.0
 
     @property
     def eps_prime(self) -> float:
@@ -83,7 +93,7 @@ class SolverState:
     """
 
     alpha_bar: np.ndarray  # (n,) accumulated dual, entries are multiples of 1/2
-    w: np.ndarray  # (m, n) rows w_i = (K_i + ridge_i I)(y * 2 alpha_bar), unnormalized
+    w: np.ndarray  # (m, n) rows w_i = (K_i + ridge I)(y * 2 alpha_bar), unnormalized
     q: np.ndarray  # (m,) quadforms alpha_bar' G_i alpha_bar
     p12: np.ndarray  # (m,) normalized off-diagonal primal coefficients (<= 0)
     g: np.ndarray  # (n,) aggregate violation direction
@@ -99,7 +109,7 @@ class SolverState:
     # per-kernel multiples the update formulas apply every iteration
     _half_inv_r: np.ndarray = field(default=None, repr=False)
     _quarter_inv_r: np.ndarray = field(default=None, repr=False)
-    _two_ridge: np.ndarray | None = field(default=None, repr=False)  # None in hard-margin mode
+    _ridge: float = field(default=0.0, repr=False)
 
     @property
     def max_step_width(self) -> float:
@@ -108,6 +118,8 @@ class SolverState:
 
     @classmethod
     def fresh(cls, accessor: GramAccessor, config: SolverConfig) -> "SolverState":
+        """The state before the first step. The accessor must be bound with
+        `config.ridge`, as `train` binds it: its r_i carry that ridge."""
         m, n = accessor.m, accessor.n
         return cls(
             alpha_bar=np.zeros(n),
@@ -124,7 +136,7 @@ class SolverState:
             _step_quad_max=np.zeros(m),
             _half_inv_r=0.5 * accessor.inv_r,
             _quarter_inv_r=0.25 * accessor.inv_r,
-            _two_ridge=2.0 * accessor.ridge if accessor.ridge.any() else None,
+            _ridge=config.ridge,
         )
 
 
@@ -161,17 +173,18 @@ def apply_update(state: SolverState, jp: int, jm: int) -> SolverState:
     # of two entries of K[:, jp] - K[:, jm]
     step_quad = kp[:, jp] - kp[:, jm]
     cross = w[:, jp] - w[:, jm]
-    if state._two_ridge is not None:
-        step_quad += state._two_ridge
+    ridge = state._ridge
+    if ridge:
+        step_quad += 2.0 * ridge
     step_quad *= state._quarter_inv_r
     cross *= state._half_inv_r
     cross += step_quad
     state.q += cross
     np.maximum(state._step_quad_max, step_quad, out=state._step_quad_max)
     w += kp
-    if state._two_ridge is not None:
-        w[:, jp] += acc.ridge
-        w[:, jm] -= acc.ridge
+    if ridge:
+        w[:, jp] += ridge
+        w[:, jm] -= ridge
     state.alpha_bar[jp] += 0.5
     state.alpha_bar[jm] += 0.5
     state.t += 1
@@ -231,7 +244,7 @@ def train(dataset, specs, config: SolverConfig, trace=None) -> tuple[SolverState
     neg_idx = np.flatnonzero(y < 0)
     if pos_idx.size == 0 or neg_idx.size == 0:
         raise InfeasibleDual("training data must contain both classes")
-    accessor = bind(specs, dataset, C=config.C, margin_mode=config.margin)
+    accessor = bind(specs, dataset, config.ridge)
     total = iteration_budget(config, dataset.n)
     state = SolverState.fresh(accessor, config)
     for t in range(1, total + 1):

@@ -71,8 +71,8 @@ def mixed_saddle_instance():
     return Dataset(pts, labels), specs
 
 
-def dense_grams(dataset, specs, C=None, margin_mode="hard"):
-    acc = bind(specs, dataset, C=C, margin_mode=margin_mode)
+def dense_grams(dataset, specs, ridge=0.0):
+    acc = bind(specs, dataset, ridge)
     return acc, [dense_signed_gram(acc, i) for i in range(acc.m)]
 
 

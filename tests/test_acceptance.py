@@ -126,7 +126,7 @@ def test_criterion_4_approximation_guarantee():
         rng.shuffle(labels)
         ds = Dataset(pts, labels)
         specs = [KernelSpec("poly", 1.0), KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 4.0)]
-        accessor = bind(specs, ds, C=1.0, margin_mode="l2")
+        accessor = bind(specs, ds, ridge=1.0)  # 1/C for the fit below
         gmats = [dense_signed_gram(accessor, i) for i in range(3)]
         oracle = brute_qcqp(gmats, ds.labels, seed=seed)
         state, total = train(ds, specs, SolverConfig(eps=eps, margin="l2", C=1.0))

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -320,3 +321,21 @@ class TestMedianCi:
         lo, hi = median_ci(values)
         # sign-test bounds for n=30 at 95%: ranks 10 and 21
         assert (lo, hi) == (10, 21)
+
+    def test_ranks_match_the_binomial_tail(self):
+        # the first k with P(Binomial(n, 1/2) <= k) > 0.025, summed in floats,
+        # which hold 2^-n up to n = 1032
+        for n in range(6, 1033):
+            cdf, k, comb = 0.0, 0, 1
+            while cdf + comb * 0.5**n <= 0.025:
+                cdf += comb * 0.5**n
+                comb = comb * (n - k) // (k + 1)
+                k += 1
+            assert comb == math.comb(n, k)
+            rank = max(k, 1)
+            assert median_ci(range(1, n + 1)) == (rank, n + 1 - rank), n
+
+    def test_many_values_have_finite_bounds(self):
+        # 2^n is past the float range from n = 1025 on
+        assert median_ci(range(1, 1034)) == (485, 549)
+        assert median_ci(range(1, 5001)) == (2431, 2570)

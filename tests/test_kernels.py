@@ -91,7 +91,7 @@ class TestBind:
 
     def test_two_norm_trace(self):
         ds = make_random_dataset(100, 2, 1)
-        acc = bind([KernelSpec("gaussian", 1.0)], ds, C=10.0, margin_mode="l2")
+        acc = bind([KernelSpec("gaussian", 1.0)], ds, 1.0 / 10.0)
         # independent oracle: direct sum of the regularized diagonal
         expected = sum(1.0 + 1.0 / 10.0 for _ in range(100))
         assert acc.specs[0].r == pytest.approx(expected, rel=1e-15)
@@ -101,11 +101,6 @@ class TestBind:
         ds = Dataset(np.array([[2.0], [0.1]]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             bind([KernelSpec("gaussian", 1.0)], ds)
-
-    def test_l2_requires_C(self):
-        ds = make_random_dataset(5, 2, 2)
-        with pytest.raises(ValueError):
-            bind([KernelSpec("gaussian", 1.0)], ds, margin_mode="l2")
 
 
 class TestSignedColumns:
@@ -123,14 +118,14 @@ class TestSignedColumns:
 
     def test_negative_label_diagonal_is_positive(self):
         ds = make_random_dataset(12, 2, 3)
-        acc = bind(make_default_family(2), ds, C=2.0, margin_mode="l2")
+        acc = bind(make_default_family(2), ds, 1.0 / 2.0)
         j = int(np.flatnonzero(ds.labels < 0)[0])
         for i in range(acc.m):
             assert signed_column(acc, i, j)[j] > 0.0
 
     def test_exact_symmetry(self):
         ds = make_random_dataset(15, 3, 4)
-        acc = bind(make_default_family(3, per_feature=True), ds, C=5.0, margin_mode="l2")
+        acc = bind(make_default_family(3, per_feature=True), ds, 1.0 / 5.0)
         for i in (0, 7, 20, 35):
             for j, k in ((0, 5), (2, 14), (7, 8)):
                 assert signed_column(acc, i, j)[k] == signed_column(acc, i, k)[j]
@@ -140,13 +135,13 @@ class TestSignedColumns:
         # with ridge, 1/r_i and the label signs, is exactly the signed column
         ds = make_random_dataset(20, 3, 5)
         family = make_default_family(3, per_feature=True) + make_default_family(3)
-        acc = bind(family, ds, C=4.0, margin_mode="l2")
+        acc = bind(family, ds, 1.0 / 4.0)
         buf = np.full((acc.m, acc.n), np.nan)
         for j in (0, 9, 19):
             block = acc.signed_columns_all(j, out=buf)
             for i in range(acc.m):
                 folded = block[i].copy()
-                folded[j] += acc.ridge[i]
+                folded[j] += acc.specs[i].ridge
                 folded *= acc.inv_r[i]
                 folded *= ds.labels * ds.labels[j]
                 assert np.array_equal(folded, signed_column(acc, i, j))
@@ -159,10 +154,10 @@ class TestSignedColumns:
         assert np.array_equal(a, b)
 
     def test_assembled_gram_trace_and_psd(self):
-        for seed, n, d, margin, C in ((0, 30, 2, "hard", None), (1, 50, 3, "l2", 3.0)):
+        for seed, n, d, ridge in ((0, 30, 2, 0.0), (1, 50, 3, 1.0 / 3.0)):
             ds = make_random_dataset(n, d, seed)
             fam = make_default_family(d, per_feature=(seed == 0))
-            acc = bind(fam, ds, C=C, margin_mode=margin)
+            acc = bind(fam, ds, ridge)
             for i in range(0, acc.m, max(acc.m // 5, 1)):
                 gram = dense_signed_gram(acc, i)
                 assert np.array_equal(gram, gram.T)
@@ -186,7 +181,7 @@ class TestRawBlock:
     @staticmethod
     def _worst_rel_error(family, d, n=16, seed=21):
         ds = make_random_dataset(n, d, seed)
-        acc = bind(family, ds, C=4.0, margin_mode="l2")
+        acc = bind(family, ds, 1.0 / 4.0)
         worst = 0.0
         for j in range(n):
             block = acc.signed_columns_all(j)

@@ -73,10 +73,11 @@ class TestExtractWeights:
 
     def test_mu_matches_oracle_multipliers_on_mixed_toy(self):
         ds, specs = mixed_saddle_instance()
-        acc, gmats = dense_grams(ds, specs, C=1.0, margin_mode="l2")
+        cfg = SolverConfig(eps=0.1, margin="l2", C=1.0)
+        acc, gmats = dense_grams(ds, specs, cfg.ridge)
         result = brute_qcqp(gmats, ds.labels, seed=0)
         assert len(result.active) == 2  # both kernels bind at this optimum
-        state, _ = train(ds, specs, SolverConfig(eps=0.1, margin="l2", C=1.0))
+        state, _ = train(ds, specs, cfg)
         mu = extract_weights(state)
         mu_oracle = result.multipliers / result.omega
         for i in range(2):
@@ -93,9 +94,10 @@ class TestExtractWeights:
             rng.shuffle(labels)
             ds = Dataset(pts, labels)
             specs = [KernelSpec("poly", 1.0, 0), KernelSpec("poly", 1.0, 1)]
-            acc, gmats = dense_grams(ds, specs, C=1.0, margin_mode="l2")
+            cfg = SolverConfig(eps=0.1, margin="l2", C=1.0)
+            acc, gmats = dense_grams(ds, specs, cfg.ridge)
             best = brute_qcqp(gmats, ds.labels, seed=seed)
-            state, _ = train(ds, specs, SolverConfig(eps=0.1, margin="l2", C=1.0))
+            state, _ = train(ds, specs, cfg)
             mu = extract_weights(state)
             mix = mu / mu.sum()
             combined = sum(w * g for w, g in zip(mix, gmats))
@@ -175,7 +177,7 @@ class TestPredict:
 
     def test_separable_blobs_fit_perfectly(self):
         ds = make_blobs(12, seed=4)
-        acc, gmats = dense_grams(ds, [KernelSpec("poly", 1.0)], margin_mode="hard")
+        acc, gmats = dense_grams(ds, [KernelSpec("poly", 1.0)])
         assert brute_qcqp(gmats, ds.labels, seed=0).omega > 0.0
         model = fit(ds, make_default_family(2), SolverConfig(eps=0.2, margin="hard"))
         assert error_rate(model, ds) == 0.0
@@ -274,6 +276,24 @@ class TestPredictionOrder:
         assert sorted(roots) == [False, True]
 
 
+V3_GOLDEN = """\
+mklmmwu v3
+margin l2
+C 2
+eps 0.25
+rho 1.5
+dim 2
+scale_min 0 -1
+scale_max 2 3
+n_support 2
+bias -0.125
+poly 2 all 3.5 0.25
+gaussian 1.4142135623730951 0 2.5 0.75
+sv +1 0.5 0.25 0.5
+sv -1 0.5 1 0
+"""
+
+
 class TestSerialization:
     def _model(self, scaling=True, seed=8):
         ds = make_random_dataset(15, 2, seed)
@@ -313,6 +333,30 @@ class TestSerialization:
         assert np.array_equal(loaded.scaling.mins, model.scaling.mins)
         assert np.array_equal(loaded.scaling.maxs, model.scaling.maxs)
 
+    def test_loaded_ridge_is_one_over_C(self):
+        # the file carries no ridge; the loader derives the one bind used
+        ds = make_random_dataset(15, 2, 8)
+        model = fit(ds, make_default_family(2), SolverConfig(eps=0.4, margin="l2", C=3.0))
+        loaded = load_model(serialize_model(model))
+        assert [s.ridge for s in loaded.specs] == [s.ridge for s in model.specs] == [1.0 / 3.0] * len(model.specs)
+
+    def test_v3_layout(self):
+        # a hand-made model against its literal file: any drift of the
+        # format shows here
+        model = MklModel(
+            specs=(KernelSpec("poly", 2.0, r=3.5, ridge=0.5),
+                   KernelSpec("gaussian", math.sqrt(2.0), 0, r=2.5, ridge=0.5)),
+            mu=np.array([0.25, 0.75]),
+            support_points=np.array([[0.25, 0.5], [1.0, 0.0]]),
+            support_labels=np.array([1.0, -1.0]),
+            support_coefs=np.array([0.5, 0.5]),
+            bias=-0.125,
+            config=SolverConfig(eps=0.25, margin="l2", C=2.0),
+            scaling=ScalingParams(np.array([0.0, -1.0]), np.array([2.0, 3.0])),
+        )
+        assert serialize_model(model) == V3_GOLDEN
+        assert serialize_model(load_model(V3_GOLDEN)) == V3_GOLDEN
+
     def test_zero_weight_kernel_omitted(self):
         model = self._model(scaling=False)
         docked = MklModel(
@@ -339,7 +383,7 @@ class TestSerialization:
     def test_bad_header_rejected(self):
         text = serialize_model(self._model())
         with pytest.raises(MalformedModel):
-            load_model(text.replace("mklmmwu v2", "mklmmwu v1", 1))
+            load_model(text.replace("mklmmwu v3", "mklmmwu v2", 1))
 
     def test_garbled_field_rejected(self):
         text = serialize_model(self._model(scaling=False))
@@ -366,38 +410,57 @@ class TestMalformedKernelLines:
         lines[k] = replace(lines[k])
         return "\n".join(lines) + "\n"
 
-    def _kernel_feature(self, value):
-        return self._corrupt_first("gaussian ", lambda line: " ".join(line.split()[:2] + [value]))
+    def _kernel_field(self, k, value, prefix="gaussian "):
+        """The first `prefix` kernel record with field k (of kind, param,
+        scope, r, mu) set to `value`."""
+
+        def replace(line):
+            parts = line.split()
+            parts[k] = value
+            return " ".join(parts)
+
+        return self._corrupt_first(prefix, replace)
 
     def test_negative_feature_index(self):
         with pytest.raises(MalformedModel):
-            load_model(self._kernel_feature("-1"))
+            load_model(self._kernel_field(2, "-1"))
 
     def test_feature_index_past_dim(self):
         with pytest.raises(MalformedModel):
-            load_model(self._kernel_feature("2"))
+            load_model(self._kernel_field(2, "2"))
 
     def test_non_integer_feature_field(self):
         with pytest.raises(MalformedModel):
-            load_model(self._kernel_feature("one"))
+            load_model(self._kernel_field(2, "one"))
 
     def test_huge_polynomial_degree(self):
         # at this degree the loaded model would predict non-finite values
         with pytest.raises(MalformedModel, match="polynomial degree"):
-            load_model(self._corrupt_first("poly ", lambda line: "poly 1000000 all"))
+            load_model(self._corrupt_first("poly ", lambda line: "poly 1000000 all " + line.split(maxsplit=3)[3]))
 
     def test_nan_mu(self):
         with pytest.raises(MalformedModel):
-            load_model(self._corrupt_first("mu ", lambda line: "mu nan"))
+            load_model(self._kernel_field(4, "nan"))
 
     def test_negative_mu(self):
         with pytest.raises(MalformedModel):
-            load_model(self._corrupt_first("mu ", lambda line: "mu -5"))
+            load_model(self._kernel_field(4, "-5"))
 
     def test_zero_mu(self):
         # save_model omits kernels with mu = 0, so a zero weight is never written
         with pytest.raises(MalformedModel):
-            load_model(self._corrupt_first("mu ", lambda line: "mu 0"))
+            load_model(self._kernel_field(4, "0"))
+
+    @pytest.mark.parametrize("k, value", [(1, "inf"), (3, "inf")], ids=["param inf", "r inf"])
+    def test_corrupt_kernel_field(self, k, value):
+        with pytest.raises(MalformedModel):
+            load_model(self._kernel_field(k, value))
+
+    @pytest.mark.parametrize("edit", [lambda parts: parts[:4], lambda parts: parts + ["1"]],
+                             ids=["4 fields", "6 fields"])
+    def test_kernel_record_field_count(self, edit):
+        with pytest.raises(MalformedModel, match="5 fields"):
+            load_model(self._corrupt_first("gaussian ", lambda line: " ".join(edit(line.split()))))
 
     def test_empty_support(self):
         # every fit has support points; without them every query gets sign(bias)
@@ -413,8 +476,8 @@ class TestMalformedKernelLines:
 
     @pytest.mark.parametrize(
         "prefix, replacement",
-        [("bias ", "bias nan"), ("dim ", "dim 0"), ("eps ", "eps -1"), ("r ", "r inf"),
-         ("ridge ", "ridge nan"), ("gaussian ", "gaussian inf 0"), ("sv ", "sv +1 -0.5 0.1 0.2"),
+        [("bias ", "bias nan"), ("dim ", "dim 0"), ("eps ", "eps -1"), ("C ", "C 0"),
+         ("gaussian ", "gaussian inf 0"), ("sv ", "sv +1 -0.5 0.1 0.2"),
          ("sv ", "sv +1 0.5 nan 0.2"), ("scale_max ", "scale_max -5 -5")],
     )
     def test_other_corrupt_records(self, prefix, replacement):

@@ -55,7 +55,7 @@ class TestDenseExpm:
 class TestBruteQcqp:
     def test_two_points_unique_feasible(self):
         ds, specs = tiny_instance(0, m=1, n=2)
-        acc, gmats = dense_grams(ds, specs, C=1.0, margin_mode="l2")
+        acc, gmats = dense_grams(ds, specs, ridge=1.0)
         result = brute_qcqp(gmats, ds.labels, seed=0)
         assert np.allclose(result.alpha, [0.5, 0.5], atol=1e-12)
         expected = float(result.alpha @ gmats[0] @ result.alpha)
@@ -67,7 +67,7 @@ class TestBruteQcqp:
         pts = np.array([[0.2, 0.5], [0.8, 0.5], [0.35, 0.5], [0.65, 0.5]])
         labels = np.array([1.0, 1.0, -1.0, -1.0])
         ds = Dataset(pts, labels)
-        acc, gmats = dense_grams(ds, [KernelSpec("gaussian", 1.0)], C=1.0, margin_mode="l2")
+        acc, gmats = dense_grams(ds, [KernelSpec("gaussian", 1.0)], ridge=1.0)
         result = brute_qcqp(gmats, ds.labels, seed=0)
         # mirror x -> 1-x swaps points 0<->1 and 2<->3
         assert result.alpha[0] == pytest.approx(result.alpha[1], abs=1e-8)
@@ -75,7 +75,7 @@ class TestBruteQcqp:
 
     def test_invariance_under_relabeling_and_permutation(self):
         ds, specs = tiny_instance(3)
-        acc, gmats = dense_grams(ds, specs, C=1.0, margin_mode="l2")
+        acc, gmats = dense_grams(ds, specs, ridge=1.0)
         base = brute_qcqp(gmats, ds.labels, seed=1)
         swapped = brute_qcqp(gmats[::-1], ds.labels, seed=1)
         assert swapped.omega == pytest.approx(base.omega, rel=1e-9)
@@ -87,7 +87,7 @@ class TestBruteQcqp:
     def test_certificates_on_random_instances(self):
         for seed in range(6):
             ds, specs = tiny_instance(20 + seed)
-            acc, gmats = dense_grams(ds, specs, C=1.0, margin_mode="l2")
+            acc, gmats = dense_grams(ds, specs, ridge=1.0)
             result = brute_qcqp(gmats, ds.labels, seed=seed)
             assert result.residual < 1e-7
             assert result.multipliers.sum() == pytest.approx(1.0, abs=1e-9)

@@ -38,6 +38,12 @@ class TestConfig:
             SolverConfig(eps=0.2, margin="l2")  # missing C
         with pytest.raises(ValueError):
             SolverConfig(eps=0.2, margin="l1")
+        with pytest.raises(ValueError):
+            SolverConfig(eps=0.2, margin="hard", C=5.0)  # a hard margin takes no C
+
+    def test_ridge_follows_margin(self):
+        assert SolverConfig(eps=0.2, margin="l2", C=3.0).ridge == 1.0 / 3.0
+        assert SolverConfig(eps=0.2, margin="hard").ridge == 0.0
 
     def test_quash_threshold_is_not_a_setting(self):
         with pytest.raises(TypeError):
@@ -114,7 +120,7 @@ def _two_point_state():
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
     spec = [KernelSpec("gaussian", SIGMA_HALF)]
     cfg = SolverConfig(eps=0.2, margin="hard", max_iters_override=10)
-    acc = bind(spec, ds, margin_mode="hard")
+    acc = bind(spec, ds, cfg.ridge)
     return SolverState.fresh(acc, cfg), acc, cfg
 
 
@@ -186,7 +192,7 @@ class TestApplyUpdate:
         ds = make_random_dataset(14, 2, 3)
         fam = make_default_family(2)
         cfg = SolverConfig(eps=0.2, margin="l2", C=2.0)
-        acc = bind(fam, ds, C=2.0, margin_mode="l2")
+        acc = bind(fam, ds, cfg.ridge)
         state = SolverState.fresh(acc, cfg)
         pos = np.flatnonzero(ds.labels > 0)
         neg = np.flatnonzero(ds.labels < 0)
@@ -208,8 +214,9 @@ class TestApplyUpdate:
     def test_cache_matches_recompute_property(self, seed, n, per_feature, C, picks):
         ds = make_random_dataset(n, 2, seed)
         margin = "hard" if C is None else "l2"
-        acc = bind(make_default_family(2, per_feature=per_feature), ds, C=C, margin_mode=margin)
-        state = SolverState.fresh(acc, SolverConfig(eps=0.2, margin=margin, C=C))
+        cfg = SolverConfig(eps=0.2, margin=margin, C=C)
+        acc = bind(make_default_family(2, per_feature=per_feature), ds, cfg.ridge)
+        state = SolverState.fresh(acc, cfg)
         pos = np.flatnonzero(ds.labels > 0)
         neg = np.flatnonzero(ds.labels < 0)
         for a, b in picks:
@@ -220,8 +227,8 @@ class TestApplyUpdate:
 
     def test_step_width_bound(self):
         ds = make_random_dataset(20, 3, 4)
-        acc = bind(make_default_family(3), ds, C=1.0, margin_mode="l2")
         cfg = SolverConfig(eps=0.2, margin="l2", C=1.0)
+        acc = bind(make_default_family(3), ds, cfg.ridge)
         state = SolverState.fresh(acc, cfg)
         pos = np.flatnonzero(ds.labels > 0)
         neg = np.flatnonzero(ds.labels < 0)
