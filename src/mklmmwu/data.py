@@ -68,6 +68,12 @@ class ScalingParams:
             raise ValueError("mins/maxs must be matching 1-d arrays")
         if (maxs < mins).any():
             raise ValueError("max < min in scaling parameters")
+        with np.errstate(over="ignore", invalid="ignore"):
+            wide = np.flatnonzero(~np.isfinite(maxs - mins))
+        if wide.size:
+            f = wide[0]
+            raise ValueError(f"feature index {f + 1} spans [{mins[f]:g}, {maxs[f]:g}], "
+                             "a width past float64's range")
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
@@ -199,13 +205,15 @@ def apply_scaling(dataset: Dataset, params: ScalingParams) -> Dataset:
     """Map features to [0,1] with the given train ranges.
 
     Constant dimensions go to 0; out-of-range values (unseen test points)
-    are clamped so downstream kernels stay in their calibrated regime.
+    are clamped so downstream kernels stay in their calibrated regime, also
+    when their distance to the range overflows to infinity.
     """
     if dataset.d != params.d:
         raise ValueError(f"dataset has {dataset.d} features, scaling has {params.d}")
     span = params.maxs - params.mins
     safe = np.where(span > 0.0, span, 1.0)
-    scaled = (dataset.points - params.mins) / safe
+    with np.errstate(over="ignore"):
+        scaled = (dataset.points - params.mins) / safe
     scaled[:, span == 0.0] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
     return Dataset(scaled, dataset.labels.copy())

@@ -6,9 +6,9 @@ O(m n) and the whole working set stays O(m n). The block carries no ridge,
 no trace normalizer 1/r_i and no label signs; the solver folds those into
 its O(m) and O(n) vectors, so the package never assembles the signed,
 regularized G_i = Y (K_i + ridge I) Y / r_i (the dense references in
-tests/reference.py do, from this block). The same evaluator serves
-prediction: an accessor over a model's support points writes the block
-against each query point.
+tests/reference.py do, from this block). Prediction runs the same plan in
+`KernelSums`, which streams batches of query points through it and
+contracts each step's kernel values with the model's weights as it goes.
 
 One grouped evaluator computes the block. Specs are grouped by (kind,
 feature scope, parameter), and each group's rows are a slice of the block
@@ -20,18 +20,16 @@ sigma^2 = 2^k, so each scope of the default family takes one exp at the
 widest bandwidth and eight squarings, on rows 3+k::12 per feature or on
 single rows in the all-feature scope. A bandwidth that is not a x2 rung of
 another spec with the same scope and features gets a plain exp.
-Polynomial degrees are built by repeated multiplication by x.z + 1.
-
-Training binds the specs in the order given, so the solver's rows match
-the caller's list. Prediction binds them in `group_order`, which sorts the
-specs by the evaluator's groups and by feature within a group: each group
-is then one contiguous slice, and per-feature rung k of a full family is
-d adjacent rows, which numpy walks faster than the strided rows 3+k::12.
+Polynomial degrees are built by repeated multiplication by x.z + 1. The
+arithmetic of each step is written once, in `_step`, for both executors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,8 +192,9 @@ def _group_rank(key: tuple) -> tuple:
 
 def group_order(specs) -> list[int]:
     """Spec indices sorted by evaluator group, in `_plan`'s group order, and
-    by feature within a group, so that each group's rows are one step-1
-    slice. The sort is stable: dropping specs does not reorder the rest."""
+    by feature within a group, so that each group's rows and features are
+    step-1 slices when its features have no gaps. The sort is stable:
+    dropping specs does not reorder the rest."""
     return sorted(range(len(specs)), key=lambda i: (_group_rank(_group(specs[i])), specs[i].feature or 0))
 
 
@@ -249,18 +248,44 @@ def _ladder(chain, members) -> list[_Op]:
     return ops
 
 
+def _step(op: _Op, dst, src, inp) -> list[tuple]:
+    """The (function, args) calls of one plan step, which write `dst`.
+
+    A Gaussian root reads `inp`, the squared distances (halved in the
+    all-feature scope); a Gaussian rung squares `src`, the values of the step
+    before. A polynomial step reads `inp`, the base x.z + 1: a root raises it
+    to the degree, a rung multiplies `src` by it. A degree-1 root whose base
+    is `dst` itself needs no call.
+    """
+    if op.gaussian:
+        if src is not None:
+            return [(np.square, (src, dst))]
+        return [(np.multiply, (inp, op.param, dst)), (np.exp, (dst, dst))]
+    if src is not None:
+        return [(np.multiply, (src, inp, dst))]
+    calls = [] if inp is dst else [(np.copyto, (dst, inp))]
+    return calls + [(np.multiply, (dst, inp, dst))] * (op.param - 1)
+
+
+def _inputs(plan) -> tuple[bool, bool, bool, bool]:
+    """Which per-point inputs the plan's steps read: x.z, half squared
+    distances (all-feature Gaussians), per-feature squared differences
+    (x_f - z_f)^2 and per-feature x_f z_f + 1."""
+    all_scope = [op.gaussian for op in plan if op.feats is None]
+    per_feature = [op.gaussian for op in plan if op.feats is not None]
+    return bool(all_scope), True in all_scope, True in per_feature, False in per_feature
+
+
 class GramAccessor:
     """Server of raw kernel columns. Its mutable state is scratch for the
     per-column inputs and the calls cached for reused output buffers, so one
     accessor serves one caller at a time.
 
-    `columns_at(x)` returns the (m, n) block whose row i is kappa_i(x_k, x)
-    for every point k, with no ridge, no trace normalizer and no label signs.
-    Training asks for the block at its own points, `signed_columns_all(j)`,
-    which is column j of every raw kernel matrix K_i; the solver folds 1/r_i
+    `signed_columns_all(j)` returns the (m, n) block whose row i is column j
+    of the raw kernel matrix K_i, kappa_i(x_k, x_j) for every point k, with
+    no ridge, no trace normalizer and no label signs; the solver folds 1/r_i
     and signs into its O(m) and O(n) vectors through `inv_r` and `labels`,
-    and adds its config's ridge itself. Prediction asks for the block at
-    query points, over the model's support points.
+    and adds its config's ridge itself.
     """
 
     def __init__(self, bound_specs, dataset: Dataset):
@@ -282,13 +307,12 @@ class GramAccessor:
         self._plan = _plan(self.specs)
         self._calls: dict[int, tuple] = {}
         # per-column inputs of the plan's root steps, rewritten by every call
-        all_scope = [op.gaussian for op in self._plan if op.feats is None]
-        per_feature = [op.gaussian for op in self._plan if op.feats is not None]
+        dot, half_sqd, d2t, pbase = _inputs(self._plan)
         d = self._X.shape[1]
-        self._dot = np.empty(self.n) if all_scope else None  # x_k . x_j
-        self._half_sqd = np.empty(self.n) if True in all_scope else None
-        self._d2t = np.empty((d, self.n)) if True in per_feature else None  # (x_kf - x_jf)^2
-        self._pbase = np.empty((d, self.n)) if False in per_feature else None  # x_kf x_jf + 1
+        self._dot = np.empty(self.n) if dot else None  # x_k . x_j
+        self._half_sqd = np.empty(self.n) if half_sqd else None
+        self._d2t = np.empty((d, self.n)) if d2t else None  # (x_kf - x_jf)^2
+        self._pbase = np.empty((d, self.n)) if pbase else None  # x_kf x_jf + 1
 
     @property
     def labels(self) -> np.ndarray:
@@ -300,22 +324,14 @@ class GramAccessor:
         Despite the name, the block carries no label signs, ridge or 1/r_i;
         `out` enables buffer reuse.
         """
-        return self.columns_at(self._X[j], out, self._half_row_sq[j])
-
-    def columns_at(self, x: np.ndarray, out: np.ndarray | None = None, half_sq=None) -> np.ndarray:
-        """Raw block against an arbitrary point x: out[i, k] = kappa_i(x_k, x).
-
-        `half_sq` is |x|^2 / 2 when the caller has it precomputed.
-        """
         reused = out is not None
         if out is None:
             out = np.empty((self.m, self.n))
+        x = self._X[j]
         if self._dot is not None:
             np.dot(self._X, x, self._dot)  # np.dot: same BLAS call as @, less dispatch
         if self._half_sqd is not None:
-            if half_sq is None:
-                half_sq = 0.5 * np.dot(x, x)
-            np.add(self._half_row_sq, half_sq, self._half_sqd)
+            np.add(self._half_row_sq, self._half_row_sq[j], self._half_sqd)
             np.subtract(self._half_sqd, self._dot, self._half_sqd)
         if self._d2t is not None:
             np.subtract(self._Xt, x[:, None], self._d2t)
@@ -348,29 +364,22 @@ class GramAccessor:
         base = None  # x_k . x_j + 1, for the all-feature polynomials
         for op in self._plan:
             dst = out[op.rows] if _is_view(op.rows) else np.empty((op.count, self.n))
+            src = None if op.src is None else rows_of(out, op.src, op.count)
+            inp = None
             if op.gaussian:
-                if op.src is not None:
-                    calls.append((np.square, (rows_of(out, op.src, op.count), dst)))
-                else:
-                    d2 = self._half_sqd if op.feats is None else rows_of(self._d2t, op.feats, op.count)
-                    calls += [(np.multiply, (d2, op.param, dst)), (np.exp, (dst, dst))]
+                if src is None:
+                    inp = self._half_sqd if op.feats is None else rows_of(self._d2t, op.feats, op.count)
+            elif op.feats is not None:
+                inp = rows_of(self._pbase, op.feats, op.count)
+            elif base is None and op.param == 1:  # degree 1 is the base itself, written in place
+                calls.append((np.add, (self._dot, 1.0, dst)))
+                base, inp = dst[0] if dst.ndim == 2 else dst, dst
             else:
-                if op.feats is not None:
-                    op_base = rows_of(self._pbase, op.feats, op.count)
-                elif base is None and op.param == 1:
-                    op_base = base = dst[0] if dst.ndim == 2 else dst  # degree 1 is the base itself
-                elif base is None:
-                    op_base = base = np.empty(self.n)
+                if base is None:
+                    base = np.empty(self.n)
                     calls.append((np.add, (self._dot, 1.0, base)))
-                else:
-                    op_base = base
-                if op.src is not None:
-                    calls.append((np.multiply, (rows_of(out, op.src, op.count), op_base, dst)))
-                elif op_base is base and op.param == 1:
-                    calls.append((np.add, (self._dot, 1.0, dst)))
-                else:
-                    calls.append((np.copyto, (dst, op_base)))
-                    calls += [(np.multiply, (dst, op_base, dst))] * (op.param - 1)
+                inp = base
+            calls += _step(op, dst, src, inp)
             if not _is_view(op.rows):
                 calls.append((out.__setitem__, (op.rows, dst)))
         if reused:
@@ -378,3 +387,128 @@ class GramAccessor:
                 del self._calls[next(iter(self._calls))]
             self._calls[id(out)] = (out, calls)
         return calls
+
+
+#: Bytes of the slab `KernelSums` streams one plan chain through (rows x
+#: queries x points floats). With the batch's inputs beside it, it stays in
+#: a core's cache, and each numpy call on it is long enough that the threads
+#: spend their time with the interpreter lock released.
+SLAB_BYTES = 320 * 1024
+
+
+class KernelSums:
+    """Weighted kernel sums at query points:
+    f(x) = sum_i a_i sum_k b_k kappa_i(z_k, x) over the kernels i and the
+    points z_k, as `KernelSums(specs, points, a, b)(queries)`.
+
+    The queries are cut into chunks of `batch` consecutive rows, sized so
+    that one chain's slab of (rows, batch, k) floats fits in SLAB_BYTES. For
+    each chunk the executor builds the inputs the plan reads, then walks the
+    plan chain by chain through one slab: a chain's root writes the slab from
+    the inputs, each rung rewrites it in place, and after every step the slab
+    is contracted with b into that step's rows of an (m, batch) matrix P. The
+    chunk's sums are a @ P, so no (m, k) block per query and no (m k) weight
+    array are formed.
+
+    Chunks run on up to one thread per CPU the process may use, the calling
+    thread among them, at least two chunks a thread, and inline when that
+    leaves fewer than two threads. Each thread builds its own scratch once
+    per call. The chunk boundaries do not depend on the thread count, so
+    neither do the sums, to the bit. The threads are joined before a call
+    returns.
+    """
+
+    def __init__(self, specs, points: np.ndarray, a: np.ndarray, b: np.ndarray):
+        if not specs:
+            raise ValueError("at least one kernel spec is required")
+        # group order makes each group's features one slice, read in place
+        order = group_order(specs)
+        self.plan = _plan([specs[i] for i in order])
+        a = np.asarray(a, dtype=np.float64)[order]
+        # P's rows follow the plan, one run of rows per step
+        self._a = np.concatenate([np.atleast_1d(a[op.rows]) for op in self.plan])
+        self._b = np.ascontiguousarray(b, dtype=np.float64)
+        self._Zt = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)  # (d, k)
+        self._half_z = 0.5 * np.einsum("ij,ij->j", self._Zt, self._Zt)
+        self._rows = max(op.count for op in self.plan)
+        self.batch = max(1, SLAB_BYTES // (8 * self._rows * self._Zt.shape[1]))
+
+    def __call__(self, queries: np.ndarray) -> np.ndarray:
+        Q = np.asarray(queries, dtype=np.float64)
+        vals = np.empty(Q.shape[0])
+        if not len(Q):
+            return vals
+        batch = min(self.batch, len(Q))
+        starts = range(0, len(Q), batch)
+        # the CPUs in the affinity mask, where the platform has one
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        threads = min(cpus, len(starts) // 2)
+
+        def work(first: int, step: int) -> None:
+            q, out, calls = self._scratch(batch)
+            for s in starts[first::step]:
+                n = min(batch, len(Q) - s)  # the last chunk runs in full on stale rows
+                q[:n] = Q[s : s + n]
+                for f, args in calls:
+                    f(*args)
+                vals[s : s + n] = out[:n]
+
+        if threads < 2:
+            work(0, 1)
+        else:  # the calling thread takes one share: one thread and its scratch fewer to start
+            with ThreadPoolExecutor(threads - 1) as pool:
+                running = [pool.submit(work, t, threads) for t in range(1, threads)]
+                work(0, threads)
+                for done in running:
+                    done.result()
+        return vals
+
+    def _scratch(self, batch: int):
+        """One thread's scratch for a chunk of `batch` queries: the query
+        buffer, the output buffer and the calls that fill one from the other."""
+        d, k = self._Zt.shape
+        q = np.zeros((batch, d))  # zeros: rows past the last query stay finite
+        out = np.empty(batch)
+        calls: list[tuple] = []
+        need_dot, need_half, need_d2, need_pbase = _inputs(self.plan)
+        dot = half = d2 = pbase = base = None
+        if need_dot:
+            dot = np.empty((batch, k))
+            calls.append((np.dot, (q, self._Zt, dot)))
+        if need_half:
+            half_q = np.empty(batch)
+            half = np.empty((batch, k))
+            calls += [(functools.partial(np.einsum, "ij,ij->i", out=half_q), (q, q)),
+                      (np.multiply, (half_q, 0.5, half_q)),
+                      (np.add, (self._half_z, half_q[:, None], half)), (np.subtract, (half, dot, half))]
+        zt, qt = self._Zt[:, None, :], q.T[:, :, None]
+        if need_d2:
+            d2 = np.empty((d, batch, k))
+            calls += [(np.subtract, (zt, qt, d2)), (np.square, (d2, d2))]
+        if need_pbase:
+            pbase = np.empty((d, batch, k))
+            calls += [(np.multiply, (zt, qt, pbase)), (np.add, (pbase, 1.0, pbase))]
+        if any(not op.gaussian and op.feats is None for op in self.plan):
+            base = np.empty((batch, k))
+            calls.append((np.add, (dot, 1.0, base)))
+        slab = np.empty(self._rows * batch * k)
+        gather = None
+        if any(op.feats is not None and not _is_view(op.feats) for op in self.plan):
+            gather = np.empty_like(slab)
+        P = np.empty((len(self._a), batch))
+        pos = 0
+        for op in self.plan:
+            dst = slab[: op.count * batch * k].reshape(op.count, batch, k)
+            if op.src is None:  # a chain's root: the input its rungs read too
+                if op.feats is None:
+                    inp = half if op.gaussian else base
+                elif _is_view(op.feats):
+                    inp = (d2 if op.gaussian else pbase)[op.feats]
+                else:
+                    inp = gather[: dst.size].reshape(dst.shape)
+                    calls.append((np.take, (d2 if op.gaussian else pbase, op.feats, 0, inp)))
+            calls += _step(op, dst, None if op.src is None else dst, inp)
+            calls.append((np.dot, (dst.reshape(-1, k), self._b, P[pos : pos + op.count].reshape(-1))))
+            pos += op.count
+        calls.append((np.dot, (self._a, P, out)))
+        return q, out, calls

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, ScalingParams
 from .errors import DegenerateModel, MalformedModel
-from .kernels import GramAccessor, KernelSpec, group_order
+from .kernels import KernelSpec, KernelSums
 from .solver import MIN_QUADFORM, SolverConfig, SolverState, train
 
 _HEADER = "mklmmwu v3"
@@ -109,28 +109,20 @@ def fit(dataset: Dataset, specs, config: SolverConfig, scaling: ScalingParams | 
 
 
 def decision_values(model: MklModel, points: np.ndarray) -> np.ndarray:
-    """Decision values for a whole query matrix.
-
-    The training evaluator, bound to the support points and the kernels with
-    mu > 0, writes the raw (kernels x support) block for each query; the value
-    is one dot product of that block with outer(mu_i / r_i, 2 c_j y_j). The
-    kernels are bound in evaluator group order (`kernels.group_order`), so
-    each evaluator step reads and writes contiguous rows, and the weights are
-    permuted alike; `model.specs` and `mu` keep their order.
+    """Decision values for a whole query matrix:
+    f(x) = sum_i mu_i / r_i sum_j 2 c_j y_j kappa_i(z_j, x) + bias over the
+    kernels with mu > 0 and the support points z_j, computed by
+    `kernels.KernelSums` in batches of queries on the training evaluator's
+    plan.
     """
     Q = np.asarray(points, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != model.d:
         raise ValueError(f"queries have shape {Q.shape}, model expects (*, {model.d})")
-    keep = [i for i in group_order(model.specs) if model.mu[i] > 0.0]
-    acc = GramAccessor([model.specs[i] for i in keep], Dataset(model.support_points, model.support_labels))
-    weights = np.outer(model.mu[keep] * acc.inv_r, 2.0 * model.support_coefs * model.support_labels).ravel()
-    block = np.empty((acc.m, acc.n))
-    flat = block.reshape(-1)
-    vals = np.empty(Q.shape[0])
-    for q, x in enumerate(Q):
-        acc.columns_at(x, block)
-        vals[q] = np.dot(flat, weights)
-    return vals + model.bias
+    keep = np.flatnonzero(model.mu > 0.0)
+    specs = [model.specs[i] for i in keep]
+    weights = model.mu[keep] / np.array([s.r for s in specs])
+    sums = KernelSums(specs, model.support_points, weights, 2.0 * model.support_coefs * model.support_labels)
+    return sums(Q) + model.bias
 
 
 def predict(model: MklModel, points: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ class TestTrain:
 
         monkeypatch.setattr(cli_mod, "fit", boom)
         assert main(["train", "--data", str(data)]) == 4
+
+    def test_feature_span_past_float64_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "wide.svm"
+        data.write_text("+1 1:1e308\n-1 1:-1e308\n+1 1:1e308\n-1 1:-1e308\n+1 1:0.5\n-1 1:0.2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--data", str(data), "--max-iters", "20", "--train-fraction", "0.9"])
+        assert code == 3
+        assert "error: feature index 1 spans [-1e+308, 1e+308]" in capsys.readouterr().err
 
     def test_utf8_byte_order_mark_is_dropped(self, tmp_path, capsys):
         # 40 blobs split with seed 1 leave both classes on each side

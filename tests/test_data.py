@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mklmmwu import (
     NonBinaryLabels,
     OneClassSplit,
     ParseError,
+    ScalingParams,
     apply_scaling,
     fit_scaling,
     parse_libsvm,
@@ -261,6 +263,21 @@ class TestScaling:
             ds = Dataset(pts, np.where(rng.random(10) > 0.5, 1.0, -1.0))
             out = apply_scaling(ds, fit_scaling(ds))
             assert out.points.min() >= 0.0 and out.points.max() <= 1.0
+
+    def test_span_past_float64_names_the_feature(self):
+        ds = Dataset(np.array([[0.0, 1e308], [1.0, -1e308]]), np.array([1.0, -1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"feature index 2 spans \[-1e\+308, 1e\+308\]"):
+                fit_scaling(ds)
+
+    def test_far_query_clamps_without_warning(self):
+        params = ScalingParams(np.array([1e308]), np.array([1.5e308]))
+        queries = Dataset(np.array([[-1e308], [1.2e308]]), np.array([1.0, -1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_scaling(queries, params)
+        assert np.allclose(out.points[:, 0], [0.0, 0.4])
 
     def test_dimension_mismatch(self):
         ds = Dataset(np.zeros((2, 2)), np.array([1.0, -1.0]))

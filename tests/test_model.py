@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,9 +26,10 @@ from mklmmwu import (
     serialize_model,
     train,
 )
+from mklmmwu import kernels as kernels_module
 from mklmmwu import model as model_module
 from mklmmwu.data import ScalingParams
-from mklmmwu.kernels import GramAccessor
+from mklmmwu.kernels import KernelSums
 from mklmmwu.model import MklModel, compute_bias, decision_values, error_rate, save_model
 
 from helpers import dense_grams, make_blobs, make_random_dataset, mixed_saddle_instance
@@ -204,25 +207,15 @@ class TestPredict:
         assert np.abs(batched - scalar).max() <= 1e-10 * scale
 
     def test_matches_explicit_sum(self):
-        # mixed scopes, one zero weight, non-ladder bandwidths (plain exp) and
         # a query coordinate outside [0,1], as scaled eval queries can have
-        rng = np.random.default_rng(8)
-        ds = make_random_dataset(9, 3, 9)
-        fam = make_default_family(3, per_feature=True)[:20] + make_default_family(3)
-        fam += [KernelSpec("gaussian", sigma, f) for sigma in (0.7, 1.3, 2.9) for f in (None, 2)]
-        specs = bind(fam, ds).specs
-        mu = rng.random(len(specs))
-        mu[3] = 0.0
-        coefs = rng.random(ds.n) + 0.1
-        model = MklModel(specs=specs, mu=mu, support_points=ds.points, support_labels=ds.labels,
-                         support_coefs=coefs, bias=0.25, config=SolverConfig(eps=0.4))
+        model, rng = _mixed_model()
         queries = np.vstack([rng.random((3, 3)), [1.3, -0.2, 0.5]])
         got = decision_values(model, queries)
         want = np.full(len(queries), model.bias)
         for q, x in enumerate(queries):
-            for weight, spec in zip(mu, specs):
-                for k in range(ds.n):
-                    want[q] += weight / spec.r * 2.0 * coefs[k] * ds.labels[k] * eval_kernel(spec, ds.points[k], x)
+            for weight, spec in zip(model.mu, model.specs):
+                for z, y, c in zip(model.support_points, model.support_labels, model.support_coefs):
+                    want[q] += weight / spec.r * 2.0 * c * y * eval_kernel(spec, z, x)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch(self):
@@ -231,8 +224,117 @@ class TestPredict:
             decision_values(model, [[0.1, 0.2]])
 
 
+def _mixed_model():
+    """A hand-made model with mixed scopes, one zero weight, non-ladder
+    bandwidths (plain exp) and feature gaps: the per-feature block stops
+    inside feature 1 and feature 2 has only its own Gaussians."""
+    rng = np.random.default_rng(8)
+    ds = make_random_dataset(9, 3, 9)
+    fam = make_default_family(3, per_feature=True)[:20] + make_default_family(3)
+    fam += [KernelSpec("gaussian", sigma, f) for sigma in (0.7, 1.3, 2.9) for f in (None, 2)]
+    specs = bind(fam, ds).specs
+    mu = rng.random(len(specs))
+    mu[3] = 0.0
+    coefs = rng.random(ds.n) + 0.1
+    model = MklModel(specs=specs, mu=mu, support_points=ds.points, support_labels=ds.labels,
+                     support_coefs=coefs, bias=0.25, config=SolverConfig(eps=0.4))
+    return model, rng
+
+
+class _PoolSpy(kernels_module.ThreadPoolExecutor):
+    """Records the size of every thread pool prediction starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        _PoolSpy.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
+@pytest.fixture
+def small_batches(monkeypatch):
+    """Slabs of 720 bytes: the mixed model's chunks hold 5 queries, and the
+    thread pools prediction starts are recorded in `_PoolSpy.sizes`."""
+    monkeypatch.setattr(kernels_module, "SLAB_BYTES", 720)
+    monkeypatch.setattr(kernels_module, "ThreadPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(_PoolSpy, "sizes", [])
+    model, rng = _mixed_model()
+    keep = model.mu > 0.0
+    batch = KernelSums([s for s, k in zip(model.specs, keep) if k], model.support_points,
+                       model.mu[keep], model.support_coefs).batch
+    assert batch == 5
+    return model, rng, batch
+
+
+def _with_cores(monkeypatch, cores):
+    monkeypatch.setattr(kernels_module.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+class TestBatchedPrediction:
+    """KernelSums cuts the queries into chunks that do not depend on the
+    core count, and streams each chunk through the plan chain by chain."""
+
+    @pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                             ids=["1", "B-1", "B", "B+1", "2B+3"])
+    def test_chunk_boundaries_match_per_query(self, small_batches, chunks, extra):
+        model, rng, batch = small_batches
+        count = chunks * batch + extra
+        queries = rng.uniform(-0.2, 1.2, (count, 3))
+        got = decision_values(model, queries)
+        want = np.array([decision_values(model, x[None])[0] for x in queries])
+        assert got.shape == (count,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_feature_gaps_are_gathered(self):
+        # feature 2 loses its degree-1 and degree-2 polynomials and its widest
+        # Gaussian, so those groups read features [0, 1, 3]: an index array
+        # that the executor gathers, for a root and for a polynomial rung
+        rng = np.random.default_rng(36)
+        ds = make_random_dataset(6, 4, 37)
+        specs = bind(make_default_family(4, per_feature=True), ds).specs
+        mu = rng.random(len(specs)) + 0.1
+        mu[[24, 25, 3 + 24 + 8]] = 0.0
+        model = MklModel(specs=specs, mu=mu, support_points=ds.points, support_labels=ds.labels,
+                         support_coefs=rng.random(ds.n) + 0.1, bias=0.1, config=SolverConfig(eps=0.4))
+        keep = mu > 0.0
+        plan = KernelSums([s for s, k in zip(specs, keep) if k], ds.points, mu[keep], model.support_coefs).plan
+        assert sum(isinstance(op.feats, np.ndarray) for op in plan) == 3
+        queries = rng.uniform(-0.2, 1.2, (5, 4))
+        want = np.full(len(queries), model.bias)
+        for q, x in enumerate(queries):
+            for weight, spec in zip(mu, specs):
+                for z, y, c in zip(model.support_points, model.support_labels, model.support_coefs):
+                    want[q] += weight / spec.r * 2.0 * c * y * eval_kernel(spec, z, x)
+        assert np.allclose(decision_values(model, queries), want, rtol=1e-12, atol=1e-14)
+
+    def test_empty_queries_start_no_thread(self, small_batches, monkeypatch):
+        model, _, _ = small_batches
+        _with_cores(monkeypatch, 4)
+        before = threading.active_count()
+        got = decision_values(model, np.empty((0, 3)))
+        assert got.shape == (0,)
+        assert _PoolSpy.sizes == [] and threading.active_count() == before
+
+    def test_core_count_does_not_change_a_bit(self, small_batches, monkeypatch):
+        model, rng, batch = small_batches
+        queries = rng.random((8 * batch + 3, 3))
+        _with_cores(monkeypatch, 1)
+        one = decision_values(model, queries)
+        assert _PoolSpy.sizes == []
+        _with_cores(monkeypatch, 4)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more threads than this machine may have cores, switching often
+        try:
+            four = decision_values(model, queries)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _PoolSpy.sizes == [3] and threading.active_count() == before  # 3 joined, and the caller
+        assert one.tobytes() == four.tobytes()
+
+
 class TestPredictionOrder:
-    """decision_values binds the kept kernels in evaluator group order."""
+    """KernelSums takes the kept kernels in evaluator group order."""
 
     def test_shuffled_specs_give_the_same_values(self):
         ds = make_random_dataset(20, 3, 31)
@@ -245,17 +347,17 @@ class TestPredictionOrder:
         assert np.abs(decision_values(shuffled, queries) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_full_family_plan_is_contiguous(self, monkeypatch):
-        # every kernel of both default families kept, listed in family order
-        # (per-feature rung k on rows 3+k::12): the prediction plan still
-        # reads and writes single rows or step-1 slices, with one exp per scope
-        bound = []
+        # every kernel of both default families kept, listed in family order:
+        # the executor reads each step's features as a single index or a
+        # step-1 slice, in place, with one exp per scope
+        built = []
 
-        class Spy(GramAccessor):
-            def __init__(self, specs, dataset):
-                super().__init__(specs, dataset)
-                bound.append(self)
+        class Spy(KernelSums):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
 
-        monkeypatch.setattr(model_module, "GramAccessor", Spy)
+        monkeypatch.setattr(model_module, "KernelSums", Spy)
         rng = np.random.default_rng(34)
         ds = make_random_dataset(10, 4, 35)
         specs = bind(make_default_family(4, per_feature=True) + make_default_family(4), ds).specs
@@ -263,16 +365,10 @@ class TestPredictionOrder:
                          support_labels=ds.labels, support_coefs=rng.random(ds.n) + 0.1, bias=-0.3,
                          config=SolverConfig(eps=0.4))
         decision_values(model, rng.random((2, 4)))
-        (acc,) = bound
-        assert acc.m == len(specs)
-
-        def contiguous(idx):
-            return isinstance(idx, int) or isinstance(idx, slice) and idx.step == 1
-
-        assert all(contiguous(op.rows) for op in acc._plan)
-        assert all(op.src is None or contiguous(op.src) for op in acc._plan)
-        assert all(op.feats is None or contiguous(op.feats) for op in acc._plan)
-        roots = [op.feats is None for op in acc._plan if op.gaussian and op.src is None]
+        (sums,) = built
+        assert sum(op.count for op in sums.plan) == len(specs)
+        assert all(op.feats is None or isinstance(op.feats, int) or op.feats.step == 1 for op in sums.plan)
+        roots = [op.feats is None for op in sums.plan if op.gaussian and op.src is None]
         assert sorted(roots) == [False, True]
 
 
@@ -356,6 +452,13 @@ class TestSerialization:
         )
         assert serialize_model(model) == V3_GOLDEN
         assert serialize_model(load_model(V3_GOLDEN)) == V3_GOLDEN
+
+    def test_scale_wider_than_float64_is_malformed(self):
+        text = serialize_model(self._model())
+        text = text.replace("scale_min 0 -1\n", "scale_min 0 -1e308\n")
+        text = text.replace("scale_max 2 3\n", "scale_max 2 1e308\n")
+        with pytest.raises(MalformedModel, match="feature index 2 spans"):
+            load_model(text)
 
     def test_zero_weight_kernel_omitted(self):
         model = self._model(scaling=False)
