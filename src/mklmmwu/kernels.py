@@ -6,9 +6,11 @@ O(m n) and the whole working set stays O(m n). The block carries no ridge,
 no trace normalizer 1/r_i and no label signs; the solver folds those into
 its O(m) and O(n) vectors, so the package never assembles the signed,
 regularized G_i = Y (K_i + ridge I) Y / r_i (the dense references in
-tests/reference.py do, from this block). Prediction runs the same plan in
-`KernelSums`, which streams batches of query points through it and
-contracts each step's kernel values with the model's weights as it goes.
+tests/reference.py do, from this block). Prediction, in `KernelSums`, sums
+the per-feature polynomials in closed form from moments of the support
+points, and runs the same plan for the other kernels, streaming batches of
+query points through it and contracting each step's kernel values with the
+model's weights as it goes.
 
 One grouped evaluator computes the block. Specs are grouped by (kind,
 feature scope, parameter), and each group's rows are a slice of the block
@@ -389,11 +391,33 @@ class GramAccessor:
         return calls
 
 
-#: Bytes of the slab `KernelSums` streams one plan chain through (rows x
-#: queries x points floats). With the batch's inputs beside it, it stays in
-#: a core's cache, and each numpy call on it is long enough that the threads
-#: spend their time with the interpreter lock released.
-SLAB_BYTES = 320 * 1024
+#: Bytes of the slab `KernelSums` streams one Gaussian or all-feature
+#: polynomial chain through (rows x queries x points floats). With the
+#: batch's inputs beside it, it stays in a core's cache, and each numpy call
+#: on it is long enough that the threads spend their time with the
+#: interpreter lock released.
+SLAB_BYTES = 640 * 1024
+
+#: C(p, j) for 0 <= j <= p <= MAX_POLYNOMIAL_DEGREE, as floats; 0 above the diagonal.
+_BINOMIAL = np.array([[math.comb(p, j) for j in range(MAX_POLYNOMIAL_DEGREE + 1)]
+                      for p in range(MAX_POLYNOMIAL_DEGREE + 1)], dtype=np.float64)
+
+
+def _cpus() -> int:
+    """The CPUs in the process's affinity mask, where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+#: Most threads one `KernelSums` call may run on; None for one per CPU.
+_thread_cap: int | None = None
+
+
+def share_cpus(processes: int) -> None:
+    """Cap this process's prediction threads at max(1, C // processes), C
+    being its CPUs, so that `processes` processes predicting at once do not
+    oversubscribe them. Called once in each worker of a process pool."""
+    global _thread_cap
+    _thread_cap = max(1, _cpus() // processes)
 
 
 class KernelSums:
@@ -401,37 +425,53 @@ class KernelSums:
     f(x) = sum_i a_i sum_k b_k kappa_i(z_k, x) over the kernels i and the
     points z_k, as `KernelSums(specs, points, a, b)(queries)`.
 
-    The queries are cut into chunks of `batch` consecutive rows, sized so
-    that one chain's slab of (rows, batch, k) floats fits in SLAB_BYTES. For
-    each chunk the executor builds the inputs the plan reads, then walks the
-    plan chain by chain through one slab: a chain's root writes the slab from
-    the inputs, each rung rewrites it in place, and after every step the slab
-    is contracted with b into that step's rows of an (m, batch) matrix P. The
-    chunk's sums are a @ P, so no (m, k) block per query and no (m k) weight
-    array are formed.
+    A per-feature polynomial depends on one coordinate, so its sum over the
+    points is a polynomial in that coordinate, summed in closed form:
+    sum_k b_k (x_f z_kf + 1)^p = sum_j C(p, j) x_f^j S_fj with the moments
+    S_fj = sum_k b_k z_kf^j. The constructor folds every such kernel into a
+    table W[j, f] = sum_p a_fp C(p, j) S_fj for j up to P, the largest
+    degree, and a query adds sum_f sum_j W[j, f] x_f^j, by Horner's rule.
 
-    Chunks run on up to one thread per CPU the process may use, the calling
-    thread among them, at least two chunks a thread, and inline when that
-    leaves fewer than two threads. Each thread builds its own scratch once
-    per call. The chunk boundaries do not depend on the thread count, so
-    neither do the sums, to the bit. The threads are joined before a call
-    returns.
+    The other kernels, Gaussians and all-feature polynomials, are streamed:
+    the queries are cut into chunks of `batch` consecutive rows, sized so
+    that one chain's slab of (rows, batch, k) floats, and the chunk's (d,
+    batch) polynomial block, fit in SLAB_BYTES. For each chunk the executor
+    builds the inputs the plan reads, then walks the plan chain by chain
+    through one slab: a chain's root writes the slab from the inputs, each
+    rung rewrites it in place, and after every step the slab is contracted
+    with b into that step's rows of a matrix P, whose last d rows hold the
+    polynomial block. The chunk's sums are a @ P, so no (m, k) block per
+    query and no (m k) weight array are formed.
+
+    Chunks run on up to one thread per CPU the process may use (or fewer,
+    after `share_cpus`), the calling thread among them, at least two chunks
+    a thread, and inline when that leaves fewer than two threads or there
+    is nothing to stream. Each thread builds its own scratch once per call.
+    The chunk boundaries do not depend on the thread count, so neither do
+    the sums, to the bit. The threads are joined before a call returns.
     """
 
     def __init__(self, specs, points: np.ndarray, a: np.ndarray, b: np.ndarray):
         if not specs:
             raise ValueError("at least one kernel spec is required")
-        # group order makes each group's features one slice, read in place
-        order = group_order(specs)
-        self.plan = _plan([specs[i] for i in order])
-        a = np.asarray(a, dtype=np.float64)[order]
-        # P's rows follow the plan, one run of rows per step
-        self._a = np.concatenate([np.atleast_1d(a[op.rows]) for op in self.plan])
+        a = np.asarray(a, dtype=np.float64)
         self._b = np.ascontiguousarray(b, dtype=np.float64)
-        self._Zt = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)  # (d, k)
+        Z = np.asarray(points, dtype=np.float64)
+        self._Zt = np.ascontiguousarray(Z.T)  # (d, k)
+        d, k = self._Zt.shape
+        closed = [s.kind == "poly" and s.feature is not None for s in specs]
+        # group order makes each group's features one slice, read in place
+        order = [i for i in group_order(specs) if not closed[i]]
+        self.plan = _plan([specs[i] for i in order])
+        #: (P + 1, d, 1) table W of the closed-form polynomials, W[j] the coefficients of x^j; or None
+        self.table = _moment_table([s for s, c in zip(specs, closed) if c], Z, a[closed], self._b)
+        # P's rows follow the plan, one run of rows per step, then the table's d
+        a = a[order]
+        self._a = np.concatenate([np.atleast_1d(a[op.rows]) for op in self.plan]
+                                 + [np.ones(0 if self.table is None else d)])
         self._half_z = 0.5 * np.einsum("ij,ij->j", self._Zt, self._Zt)
-        self._rows = max(op.count for op in self.plan)
-        self.batch = max(1, SLAB_BYTES // (8 * self._rows * self._Zt.shape[1]))
+        self._rows = max((op.count for op in self.plan), default=0)
+        self.batch = max(1, SLAB_BYTES // (8 * max(self._rows * k, d)))
 
     def __call__(self, queries: np.ndarray) -> np.ndarray:
         Q = np.asarray(queries, dtype=np.float64)
@@ -440,9 +480,7 @@ class KernelSums:
             return vals
         batch = min(self.batch, len(Q))
         starts = range(0, len(Q), batch)
-        # the CPUs in the affinity mask, where the platform has one
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        threads = min(cpus, len(starts) // 2)
+        threads = min(_thread_cap or _cpus(), len(starts) // 2) if self.plan else 1
 
         def work(first: int, step: int) -> None:
             q, out, calls = self._scratch(batch)
@@ -470,8 +508,8 @@ class KernelSums:
         q = np.zeros((batch, d))  # zeros: rows past the last query stay finite
         out = np.empty(batch)
         calls: list[tuple] = []
-        need_dot, need_half, need_d2, need_pbase = _inputs(self.plan)
-        dot = half = d2 = pbase = base = None
+        need_dot, need_half, need_d2, _ = _inputs(self.plan)
+        dot = half = d2 = base = None
         if need_dot:
             dot = np.empty((batch, k))
             calls.append((np.dot, (q, self._Zt, dot)))
@@ -481,14 +519,10 @@ class KernelSums:
             calls += [(functools.partial(np.einsum, "ij,ij->i", out=half_q), (q, q)),
                       (np.multiply, (half_q, 0.5, half_q)),
                       (np.add, (self._half_z, half_q[:, None], half)), (np.subtract, (half, dot, half))]
-        zt, qt = self._Zt[:, None, :], q.T[:, :, None]
         if need_d2:
             d2 = np.empty((d, batch, k))
-            calls += [(np.subtract, (zt, qt, d2)), (np.square, (d2, d2))]
-        if need_pbase:
-            pbase = np.empty((d, batch, k))
-            calls += [(np.multiply, (zt, qt, pbase)), (np.add, (pbase, 1.0, pbase))]
-        if any(not op.gaussian and op.feats is None for op in self.plan):
+            calls += [(np.subtract, (self._Zt[:, None, :], q.T[:, :, None], d2)), (np.square, (d2, d2))]
+        if any(not op.gaussian for op in self.plan):
             base = np.empty((batch, k))
             calls.append((np.add, (dot, 1.0, base)))
         slab = np.empty(self._rows * batch * k)
@@ -503,12 +537,37 @@ class KernelSums:
                 if op.feats is None:
                     inp = half if op.gaussian else base
                 elif _is_view(op.feats):
-                    inp = (d2 if op.gaussian else pbase)[op.feats]
+                    inp = d2[op.feats]
                 else:
                     inp = gather[: dst.size].reshape(dst.shape)
-                    calls.append((np.take, (d2 if op.gaussian else pbase, op.feats, 0, inp)))
+                    calls.append((np.take, (d2, op.feats, 0, inp)))
             calls += _step(op, dst, None if op.src is None else dst, inp)
             calls.append((np.dot, (dst.reshape(-1, k), self._b, P[pos : pos + op.count].reshape(-1))))
             pos += op.count
+        if self.table is not None:  # Horner's rule, highest degree first, into P's last d rows
+            poly, x, W = P[pos:], q.T, self.table
+            calls.append((np.multiply, (W[-1], x, poly)))
+            for j in range(len(W) - 2, 0, -1):
+                calls += [(np.add, (poly, W[j], poly)), (np.multiply, (poly, x, poly))]
+            calls.append((np.add, (poly, W[0], poly)))
         calls.append((np.dot, (self._a, P, out)))
         return q, out, calls
+
+
+def _moment_table(specs, points: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The closed form of the per-feature polynomials `specs` with weights
+    `a`, as a (P + 1, d, 1) array W[j, f] = sum_p a_fp C(p, j) S_fj, P their
+    largest degree and S_fj = sum_k b_k z_kf^j; None without such specs.
+    sum_f sum_j W[j, f] x_f^j is then their weighted sum at a query x."""
+    if not specs:
+        return None
+    degree = max(int(s.param) for s in specs)
+    coef = np.zeros((degree + 1, points.shape[1]))  # coef[p, f] = a_fp, summed over repeats
+    np.add.at(coef, ([int(s.param) for s in specs], [s.feature for s in specs]), a)
+    moments = np.empty_like(coef)  # moments[j, f] = S_fj
+    power = np.ones_like(points)
+    for j in range(degree + 1):
+        np.dot(b, power, moments[j])
+        power *= points
+    W = moments * (_BINOMIAL[: degree + 1, : degree + 1].T @ coef)
+    return W[:, :, None]

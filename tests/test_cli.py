@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mklmmwu import NumericalFailure
+from mklmmwu import cli as cli_module
 from mklmmwu.cli import main, median_ci, run_protocol, stratified_folds
+from mklmmwu.kernels import share_cpus
 from mklmmwu.solver import SolverConfig, iteration_budget
 
 from helpers import make_blobs, make_random_dataset
@@ -289,6 +291,21 @@ class TestCv:
         pooled = run_protocol(data, jobs=2, **kwargs)
         assert len(serial) == 2
         assert pooled == serial
+
+    def test_pool_workers_share_the_cpus(self, monkeypatch):
+        # each of two workers predicts on its half of the CPUs
+        pools = []
+
+        class Spy(cli_module.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                pools.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", Spy)
+        records = run_protocol(make_random_dataset(40, 3, 12), eps_grid=[0.3], c_grid=[1.0], folds=2,
+                               repeats=2, seed=3, max_iters=20, jobs=2)
+        assert len(records) == 2
+        assert [(p["initializer"], p["initargs"]) for p in pools] == [(share_cpus, (2,))]
 
     @pytest.mark.parametrize(
         "flags", [["--C-grid", "-1"], ["--eps-grid", "nan"]], ids=["C_grid_negative", "eps_grid_nan"]

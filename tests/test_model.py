@@ -15,6 +15,7 @@ from mklmmwu import (
     DegenerateModel,
     KernelSpec,
     MalformedModel,
+    POLYNOMIAL_DEGREES,
     SolverConfig,
     bind,
     extract_weights,
@@ -29,7 +30,7 @@ from mklmmwu import (
 from mklmmwu import kernels as kernels_module
 from mklmmwu import model as model_module
 from mklmmwu.data import ScalingParams
-from mklmmwu.kernels import KernelSums
+from mklmmwu.kernels import MAX_POLYNOMIAL_DEGREE, KernelSums
 from mklmmwu.model import MklModel, compute_bias, decision_values, error_rate, save_model
 
 from helpers import dense_grams, make_blobs, make_random_dataset, mixed_saddle_instance
@@ -286,19 +287,21 @@ class TestBatchedPrediction:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_feature_gaps_are_gathered(self):
-        # feature 2 loses its degree-1 and degree-2 polynomials and its widest
-        # Gaussian, so those groups read features [0, 1, 3]: an index array
-        # that the executor gathers, for a root and for a polynomial rung
+        # feature 2 loses its degree-1 and degree-2 polynomials, which leave
+        # gaps in the closed-form table, and its two widest Gaussians, so
+        # those two groups read features [0, 1, 3]: an index array that the
+        # executor gathers for the chain's root, and its rung squares in place
         rng = np.random.default_rng(36)
         ds = make_random_dataset(6, 4, 37)
         specs = bind(make_default_family(4, per_feature=True), ds).specs
         mu = rng.random(len(specs)) + 0.1
-        mu[[24, 25, 3 + 24 + 8]] = 0.0
+        mu[[24, 25, 3 + 24 + 8, 3 + 24 + 7]] = 0.0
         model = MklModel(specs=specs, mu=mu, support_points=ds.points, support_labels=ds.labels,
                          support_coefs=rng.random(ds.n) + 0.1, bias=0.1, config=SolverConfig(eps=0.4))
         keep = mu > 0.0
         plan = KernelSums([s for s, k in zip(specs, keep) if k], ds.points, mu[keep], model.support_coefs).plan
-        assert sum(isinstance(op.feats, np.ndarray) for op in plan) == 3
+        gathered = [op for op in plan if isinstance(op.feats, np.ndarray)]
+        assert [(op.gaussian, op.src is None) for op in gathered] == [(True, True), (True, False)]
         queries = rng.uniform(-0.2, 1.2, (5, 4))
         want = np.full(len(queries), model.bias)
         for q, x in enumerate(queries):
@@ -332,6 +335,74 @@ class TestBatchedPrediction:
         assert _PoolSpy.sizes == [3] and threading.active_count() == before  # 3 joined, and the caller
         assert one.tobytes() == four.tobytes()
 
+    def test_shared_cpus_cap_the_threads(self, small_batches, monkeypatch):
+        # one of two pool workers on two CPUs predicts on one thread
+        model, rng, batch = small_batches
+        queries = rng.random((4 * batch, 3))
+        _with_cores(monkeypatch, 2)
+        uncapped = decision_values(model, queries)
+        assert _PoolSpy.sizes == [1]
+        monkeypatch.setattr(kernels_module, "_thread_cap", None)
+        kernels_module.share_cpus(2)
+        capped = decision_values(model, queries)
+        assert _PoolSpy.sizes == [1]
+        assert capped.tobytes() == uncapped.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_is_refused(self, bad):
+        model, rng = _mixed_model()
+        queries = rng.random((4, 3))
+        queries[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            decision_values(model, queries)
+        with pytest.raises(ValueError, match="finite"):
+            predict(model, queries)
+
+
+class TestClosedFormPolynomials:
+    """KernelSums sums the per-feature polynomials in closed form, from
+    moments of the support points."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 7, MAX_POLYNOMIAL_DEGREE])
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (-0.2, 1.2)])
+    def test_matches_explicit_sum(self, degree, low, high):
+        rng = np.random.default_rng(degree)
+        points = rng.random((12, 3))
+        specs = [KernelSpec("poly", float(p), f) for f in range(3) for p in sorted({1, degree})]
+        a = rng.random(len(specs)) + 0.1
+        b = rng.standard_normal(len(points))
+        b -= b.mean()  # as in a fit, where both classes carry the same coefficient mass
+        queries = rng.uniform(low, high, (7, 3))
+        got = KernelSums(specs, points, a, b)(queries)
+        for x, value in zip(queries, got):
+            terms = [w * c * eval_kernel(s, z, x) for w, s in zip(a, specs) for z, c in zip(points, b)]
+            assert abs(value - math.fsum(terms)) <= 1e-12 * sum(map(abs, terms))
+
+    def test_polynomials_alone_start_no_thread(self, monkeypatch):
+        # nothing to stream: the chunks run inline, however many there are
+        monkeypatch.setattr(kernels_module, "SLAB_BYTES", 720)
+        monkeypatch.setattr(kernels_module, "ThreadPoolExecutor", _PoolSpy)
+        monkeypatch.setattr(_PoolSpy, "sizes", [])
+        _with_cores(monkeypatch, 4)
+        rng = np.random.default_rng(38)
+        ds = make_random_dataset(9, 3, 39)
+        specs = bind([KernelSpec("poly", float(p), f) for f in (0, 2) for p in (1, 3)], ds).specs
+        model = MklModel(specs=specs, mu=rng.random(len(specs)) + 0.1, support_points=ds.points,
+                         support_labels=ds.labels, support_coefs=rng.random(ds.n) + 0.1, bias=-0.2,
+                         config=SolverConfig(eps=0.4))
+        sums = KernelSums(specs, ds.points, model.mu, model.support_coefs)
+        assert sums.plan == [] and sums.batch == 30
+        queries = rng.uniform(-0.2, 1.2, (4 * sums.batch + 1, 3))
+        before = threading.active_count()
+        got = decision_values(model, queries)
+        assert _PoolSpy.sizes == [] and threading.active_count() == before
+        want = np.full(len(queries), model.bias)
+        for q, x in enumerate(queries):
+            for weight, spec in zip(model.mu, specs):
+                for z, y, c in zip(model.support_points, model.support_labels, model.support_coefs):
+                    want[q] += weight / spec.r * 2.0 * c * y * eval_kernel(spec, z, x)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
 
 class TestPredictionOrder:
     """KernelSums takes the kept kernels in evaluator group order."""
@@ -348,8 +419,9 @@ class TestPredictionOrder:
 
     def test_full_family_plan_is_contiguous(self, monkeypatch):
         # every kernel of both default families kept, listed in family order:
-        # the executor reads each step's features as a single index or a
-        # step-1 slice, in place, with one exp per scope
+        # the per-feature polynomials go to the closed-form table and the
+        # rest to the plan, which reads each step's features as a single
+        # index or a step-1 slice, in place, with one exp per scope
         built = []
 
         class Spy(KernelSums):
@@ -366,7 +438,10 @@ class TestPredictionOrder:
                          config=SolverConfig(eps=0.4))
         decision_values(model, rng.random((2, 4)))
         (sums,) = built
-        assert sum(op.count for op in sums.plan) == len(specs)
+        per_feature_polys = sum(s.kind == "poly" and s.feature is not None for s in specs)
+        assert sum(op.count for op in sums.plan) + per_feature_polys == len(specs)
+        assert all(op.gaussian or op.feats is None for op in sums.plan)
+        assert sums.table.shape == (max(POLYNOMIAL_DEGREES) + 1, 4, 1)
         assert all(op.feats is None or isinstance(op.feats, int) or op.feats.step == 1 for op in sums.plan)
         roots = [op.feats is None for op in sums.plan if op.gaussian and op.src is None]
         assert sorted(roots) == [False, True]
