@@ -7,10 +7,11 @@ no trace normalizer 1/r_i and no label signs; the solver folds those into
 its O(m) and O(n) vectors, so the package never assembles the signed,
 regularized G_i = Y (K_i + ridge I) Y / r_i (the dense references in
 tests/reference.py do, from this block). Prediction, in `KernelSums`, sums
-the per-feature polynomials in closed form from moments of the support
-points, and runs the same plan for the other kernels, streaming batches of
-query points through it and contracting each step's kernel values with the
-model's weights as it goes.
+the per-feature polynomials in closed form and the per-feature Gaussians as
+a truncated series, both from moments of the support points, and runs the
+same plan for the other kernels, streaming batches of query points through
+it and contracting each step's kernel values with the model's weights as it
+goes.
 
 One grouped evaluator computes the block. Specs are grouped by (kind,
 feature scope, parameter), and each group's rows are a slice of the block
@@ -24,6 +25,30 @@ single rows in the all-feature scope. A bandwidth that is not a x2 rung of
 another spec with the same scope and features gets a plain exp.
 Polynomial degrees are built by repeated multiplication by x.z + 1. The
 arithmetic of each step is written once, in `_step`, for both executors.
+
+The series for a per-feature Gaussian is the single-centre case of the fast
+Gauss transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12(1),
+1991). Take the Gaussian on feature f with c = -1/(2 sigma^2), the midpoint
+z0 of the support points' range on f, x' = x_f - z0 and z'_k = z_kf - z0.
+Since c (x' - z')^2 = c x'^2 + c z'^2 - 2c x' z', expanding exp(-2c x' z')
+gives
+
+    sum_k b_k exp(c (x_f - z_kf)^2) = exp(c x'^2) sum_j x'^j T_j,
+    T_j = (-2c)^j / j! sum_k b_k exp(c z'_k^2) z'_k^j.
+
+Let R_z = max |z'_k|, R_x = max |x'| over a call's queries and
+t = 2|c| R_z R_x. Each exponent u = -2c x' z'_k has |u| <= t, so by
+Lagrange's form the remainder of exp(u) after the terms j <= J is at most
+e^t t^(J+1) / (J+1)!; as exp(u) >= e^-t, cutting the series there changes
+each kernel value by a relative e^(2t) t^(J+1) / (J+1)! at most. A call sums
+a Gaussian this way only where t <= 1, with the smallest J that brings the
+bound to 2^-53, float64's unit roundoff, for every such kernel: J <= 18,
+reached at t = 1 (`series_terms`). It evaluates the series in x'/R_x, with
+the coefficients a_i t^j / j! times moments of z'/R_z, numbers in [-1, 1],
+so no term can overflow, and its terms' magnitudes sum to at most e^(2t)
+times those of the kernel terms it replaces, which bounds the rounding
+error. A Gaussian with t > 1 (a narrow bandwidth, or queries far from the
+points) is streamed through the plan, whose accuracy does not depend on t.
 """
 
 from __future__ import annotations
@@ -33,6 +58,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -391,16 +417,36 @@ class GramAccessor:
         return calls
 
 
-#: Bytes of the slab `KernelSums` streams one Gaussian or all-feature
-#: polynomial chain through (rows x queries x points floats). With the
-#: batch's inputs beside it, it stays in a core's cache, and each numpy call
-#: on it is long enough that the threads spend their time with the
-#: interpreter lock released.
-SLAB_BYTES = 640 * 1024
+#: Bytes of scratch one `KernelSums` thread allocates for a chunk of queries:
+#: every per-chunk array counts (the query rows, the inputs the plan reads,
+#: the slab one Gaussian or all-feature polynomial chain streams through,
+#: the series blocks and the rows contracted into the values). It fits in
+#: a core's L2 cache (2 MB on the 2-vCPU Xeon it was tuned on), and each
+#: numpy call on it is long enough that the threads spend their time with
+#: the interpreter lock released. Measured there on 5000 queries: an
+#: all-feature model with 841 support points took 53, 42 and 38 ms at 640,
+#: 1280 and 1920 KB (36 ms with the 2.6 MB of an uncounted slab); the
+#: per-feature bench model, all in closed form, 11-18 ms at each, with no
+#: size consistently faster.
+SLAB_BYTES = 1920 * 1024
+
+#: Most Taylor terms a closed-form Gaussian takes: at t = 1 the truncation
+#: bound e^2 / (J + 1)! first falls to 2^-53 at J = 18.
+SERIES_TERMS = 18
 
 #: C(p, j) for 0 <= j <= p <= MAX_POLYNOMIAL_DEGREE, as floats; 0 above the diagonal.
 _BINOMIAL = np.array([[math.comb(p, j) for j in range(MAX_POLYNOMIAL_DEGREE + 1)]
                       for p in range(MAX_POLYNOMIAL_DEGREE + 1)], dtype=np.float64)
+
+
+def series_terms(t: float) -> int:
+    """Terms J of the closed-form Gaussian series for t = 2|c| R_z R_x <= 1:
+    the smallest J >= 1 whose truncation bound e^(2t) t^(J+1) / (J+1)! is
+    2^-53 or below. See the module docstring for the bound."""
+    J = 1
+    while math.exp(2.0 * t) * t ** (J + 1) / math.factorial(J + 1) > 2.0**-53:
+        J += 1
+    return J
 
 
 def _cpus() -> int:
@@ -420,6 +466,17 @@ def share_cpus(processes: int) -> None:
     _thread_cap = max(1, _cpus() // processes)
 
 
+class Layout(NamedTuple):
+    """How one `KernelSums` call sums its kernels, decided from its queries."""
+
+    plan: list  # steps of the streamed kernels
+    weights: np.ndarray  # a over the rows contracted into the values: the plan's, then ones
+    closed: np.ndarray  # caller's indices of the Gaussians summed as a series
+    series: np.ndarray | None  # (F, n, J + 1) their series coefficients, by feature and slot
+    reach: np.ndarray  # (F, 1) R_x of each feature with Gaussians, 1 where it is 0
+    batch: int  # queries a chunk
+
+
 class KernelSums:
     """Weighted kernel sums at query points:
     f(x) = sum_i a_i sum_k b_k kappa_i(z_k, x) over the kernels i and the
@@ -432,16 +489,26 @@ class KernelSums:
     table W[j, f] = sum_p a_fp C(p, j) S_fj for j up to P, the largest
     degree, and a query adds sum_f sum_j W[j, f] x_f^j, by Horner's rule.
 
-    The other kernels, Gaussians and all-feature polynomials, are streamed:
-    the queries are cut into chunks of `batch` consecutive rows, sized so
-    that one chain's slab of (rows, batch, k) floats, and the chunk's (d,
-    batch) polynomial block, fit in SLAB_BYTES. For each chunk the executor
-    builds the inputs the plan reads, then walks the plan chain by chain
-    through one slab: a chain's root writes the slab from the inputs, each
-    rung rewrites it in place, and after every step the slab is contracted
-    with b into that step's rows of a matrix P, whose last d rows hold the
-    polynomial block. The chunk's sums are a @ P, so no (m, k) block per
-    query and no (m k) weight array are formed.
+    A per-feature Gaussian is summed as a truncated series (see the module
+    docstring) when the call's queries are near enough to the points on its
+    feature, t = 2|c| R_z R_x <= 1. The constructor takes a_i times the
+    points' moments up to SERIES_TERMS for every per-feature Gaussian; a
+    call reads R_x from one min/max pass over its queries, which also
+    refuses a NaN or infinite coordinate, and `layout` splits the kernels.
+    A chunk raises x'/R_x to the powers j <= J once per feature, and one
+    batched matrix product with the (features, slots, J + 1) coefficient
+    block gives every kernel's series, which it multiplies by exp(c x'^2).
+
+    The other kernels, per-feature Gaussians beyond the bound and
+    all-feature kernels, are streamed: the queries are cut into chunks of
+    `batch` consecutive rows, sized so that a thread's scratch for a chunk
+    fits in SLAB_BYTES. For each chunk the executor builds the inputs the
+    plan reads, then walks the plan chain by chain through one slab: a
+    chain's root writes the slab from the inputs, each rung rewrites it in
+    place, and after every step the slab is contracted with b into that
+    step's rows of a matrix P, whose last rows hold the series and
+    polynomial blocks. The chunk's sums are weights @ P, so no (m, k) block
+    per query and no (m k) weight array are formed.
 
     Chunks run on up to one thread per CPU the process may use (or fewer,
     after `share_cpus`), the calling thread among them, at least two chunks
@@ -454,36 +521,82 @@ class KernelSums:
     def __init__(self, specs, points: np.ndarray, a: np.ndarray, b: np.ndarray):
         if not specs:
             raise ValueError("at least one kernel spec is required")
-        a = np.asarray(a, dtype=np.float64)
+        # group order makes each group's features one slice, read in place
+        self._order = np.array(group_order(specs), dtype=np.intp)
+        self._specs = [specs[i] for i in self._order]
+        self._a = np.asarray(a, dtype=np.float64)[self._order]
         self._b = np.ascontiguousarray(b, dtype=np.float64)
         Z = np.asarray(points, dtype=np.float64)
         self._Zt = np.ascontiguousarray(Z.T)  # (d, k)
-        d, k = self._Zt.shape
-        closed = [s.kind == "poly" and s.feature is not None for s in specs]
-        # group order makes each group's features one slice, read in place
-        order = [i for i in group_order(specs) if not closed[i]]
-        self.plan = _plan([specs[i] for i in order])
-        #: (P + 1, d, 1) table W of the closed-form polynomials, W[j] the coefficients of x^j; or None
-        self.table = _moment_table([s for s, c in zip(specs, closed) if c], Z, a[closed], self._b)
-        # P's rows follow the plan, one run of rows per step, then the table's d
-        a = a[order]
-        self._a = np.concatenate([np.atleast_1d(a[op.rows]) for op in self.plan]
-                                 + [np.ones(0 if self.table is None else d)])
         self._half_z = 0.5 * np.einsum("ij,ij->j", self._Zt, self._Zt)
-        self._rows = max((op.count for op in self.plan), default=0)
-        self.batch = max(1, SLAB_BYTES // (8 * max(self._rows * k, d)))
+        poly = [i for i, s in enumerate(self._specs) if s.kind == "poly" and s.feature is not None]
+        #: (P + 1, d, 1) table W of the closed-form polynomials, W[j] the coefficients of x^j; or None
+        self.table = _moment_table([self._specs[i] for i in poly], Z, self._a[poly], self._b)
+        self._streamed = np.array([s.kind == "gaussian" or s.feature is None for s in self._specs])
+        # per-feature Gaussians, expanded about the midpoint z0 of the points' range on their feature
+        self._gauss = np.array([i for i, s in enumerate(self._specs) if s.kind == "gaussian" and s.feature is not None],
+                               dtype=np.intp)
+        feats = np.array([self._specs[i].feature for i in self._gauss], dtype=np.intp)
+        self._inv_var = np.array([self._specs[i].param ** -2.0 for i in self._gauss])  # -2c
+        lo, hi = Z.min(axis=0), Z.max(axis=0)
+        centre = 0.5 * lo + 0.5 * hi
+        radius = np.maximum(centre - lo, hi - centre)  # R_z: |z'| <= R_z
+        #: (G, SERIES_TERMS + 1) a_g times the moments of the Gaussians
+        self._moments = _gaussian_moments(self._Zt, centre, radius, feats, -0.5 * self._inv_var,
+                                          self._b) * self._a[self._gauss, None]
+        # The series block has a row per feature with Gaussians (`_features`)
+        # and a slot per Gaussian on it; an empty slot has coefficient 0.
+        self._features, self._row = np.unique(feats, return_inverse=True)
+        filled = [0] * len(self._features)
+        self._slot = np.empty_like(self._row)
+        for g, row in enumerate(self._row):
+            self._slot[g], filled[row] = filled[row], filled[row] + 1
+        self._coefs = np.zeros((len(self._features), max(filled, default=0), 1))
+        self._coefs[self._row, self._slot, 0] = -0.5 * self._inv_var
+        self._centre, self._radius = centre[self._features], radius[self._features]
+
+    def layout(self, queries: np.ndarray) -> Layout:
+        """The split of the kernels for these (nonempty) queries: each
+        per-feature Gaussian with t = 2|c| R_z R_x <= 1 goes to the series,
+        with the fewest terms that bring every such kernel's truncation bound
+        to 2^-53, and the rest to the plan. ValueError for a NaN or infinite
+        query coordinate."""
+        lo, hi = queries.min(axis=0), queries.max(axis=0)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("queries must be finite")
+        reach = np.maximum(self._centre - lo[self._features], hi[self._features] - self._centre)  # R_x
+        t = self._radius[self._row] * reach[self._row] * self._inv_var
+        closed = t <= 1.0
+        series = None
+        if closed.any():
+            terms = np.ones((int(closed.sum()), series_terms(float(t[closed].max())) + 1))
+            for j in range(1, terms.shape[1]):  # t^j / j!
+                terms[:, j] = terms[:, j - 1] * t[closed] / j
+            series = np.zeros(self._coefs.shape[:2] + terms.shape[1:])
+            series[self._row[closed], self._slot[closed]] = self._moments[closed, : terms.shape[1]] * terms
+        streamed = self._streamed.copy()
+        streamed[self._gauss[closed]] = False
+        stream = np.flatnonzero(streamed)
+        plan = _plan([self._specs[i] for i in stream])
+        a = self._a[stream]
+        rows = 0 if series is None else series.shape[0] * series.shape[1]
+        ones = np.ones(rows + (0 if self.table is None else self._Zt.shape[0]))
+        lay = Layout(plan, np.concatenate([np.atleast_1d(a[op.rows]) for op in plan] + [ones]),
+                     self._order[self._gauss[closed]], series, np.where(reach > 0.0, reach, 1.0)[:, None], 1)
+        return lay._replace(batch=max(1, SLAB_BYTES // self._scratch(lay, 1)[3]))
 
     def __call__(self, queries: np.ndarray) -> np.ndarray:
         Q = np.asarray(queries, dtype=np.float64)
         vals = np.empty(Q.shape[0])
         if not len(Q):
             return vals
-        batch = min(self.batch, len(Q))
+        lay = self.layout(Q)
+        batch = min(lay.batch, len(Q))
         starts = range(0, len(Q), batch)
-        threads = min(_thread_cap or _cpus(), len(starts) // 2) if self.plan else 1
+        threads = min(_thread_cap or _cpus(), len(starts) // 2) if lay.plan else 1
 
         def work(first: int, step: int) -> None:
-            q, out, calls = self._scratch(batch)
+            q, out, calls, _ = self._scratch(lay, batch)
             for s in starts[first::step]:
                 n = min(batch, len(Q) - s)  # the last chunk runs in full on stale rows
                 q[:n] = Q[s : s + n]
@@ -501,37 +614,46 @@ class KernelSums:
                     done.result()
         return vals
 
-    def _scratch(self, batch: int):
+    def _scratch(self, lay: Layout, batch: int):
         """One thread's scratch for a chunk of `batch` queries: the query
-        buffer, the output buffer and the calls that fill one from the other."""
+        buffer, the output buffer, the calls that fill one from the other
+        and the bytes of every array they use."""
+        arrays = []
+
+        def new(*shape):
+            arrays.append(np.empty(shape))
+            return arrays[-1]
+
         d, k = self._Zt.shape
-        q = np.zeros((batch, d))  # zeros: rows past the last query stay finite
-        out = np.empty(batch)
+        q = new(batch, d)
+        q.fill(0.0)  # rows past the last query stay finite
+        out = new(batch)
         calls: list[tuple] = []
-        need_dot, need_half, need_d2, _ = _inputs(self.plan)
+        need_dot, need_half, need_d2, _ = _inputs(lay.plan)
         dot = half = d2 = base = None
         if need_dot:
-            dot = np.empty((batch, k))
+            dot = new(batch, k)
             calls.append((np.dot, (q, self._Zt, dot)))
         if need_half:
-            half_q = np.empty(batch)
-            half = np.empty((batch, k))
+            half_q = new(batch)
+            half = new(batch, k)
             calls += [(functools.partial(np.einsum, "ij,ij->i", out=half_q), (q, q)),
                       (np.multiply, (half_q, 0.5, half_q)),
                       (np.add, (self._half_z, half_q[:, None], half)), (np.subtract, (half, dot, half))]
         if need_d2:
-            d2 = np.empty((d, batch, k))
+            d2 = new(d, batch, k)
             calls += [(np.subtract, (self._Zt[:, None, :], q.T[:, :, None], d2)), (np.square, (d2, d2))]
-        if any(not op.gaussian for op in self.plan):
-            base = np.empty((batch, k))
+        if any(not op.gaussian for op in lay.plan):
+            base = new(batch, k)
             calls.append((np.add, (dot, 1.0, base)))
-        slab = np.empty(self._rows * batch * k)
+        rows = max((op.count for op in lay.plan), default=0)
+        slab = new(rows * batch * k)
         gather = None
-        if any(op.feats is not None and not _is_view(op.feats) for op in self.plan):
-            gather = np.empty_like(slab)
-        P = np.empty((len(self._a), batch))
+        if any(op.feats is not None and not _is_view(op.feats) for op in lay.plan):
+            gather = new(rows * batch * k)
+        P = new(len(lay.weights), batch)
         pos = 0
-        for op in self.plan:
+        for op in lay.plan:
             dst = slab[: op.count * batch * k].reshape(op.count, batch, k)
             if op.src is None:  # a chain's root: the input its rungs read too
                 if op.feats is None:
@@ -544,14 +666,27 @@ class KernelSums:
             calls += _step(op, dst, None if op.src is None else dst, inp)
             calls.append((np.dot, (dst.reshape(-1, k), self._b, P[pos : pos + op.count].reshape(-1))))
             pos += op.count
+        if lay.series is not None:  # exp(c x'^2) sum_j T_j (x'/R_x)^j, into P's next rows
+            F, n, terms = lay.series.shape
+            x, sq, pre = new(F, batch), new(F, batch), new(F, n, batch)
+            U = new(terms, F, batch)  # U[j] = (x'/R_x)^j, shared by the Gaussians of a feature
+            U[0] = 1.0
+            block = P[pos : pos + F * n].reshape(F, n, batch)
+            calls += [(np.take, (q.T, self._features, 0, x, "clip")), (np.subtract, (x, self._centre[:, None], x)),
+                      (np.square, (x, sq)), (np.divide, (x, lay.reach, U[1]))]
+            calls += [(np.multiply, (U[j - 1], U[1], U[j])) for j in range(2, terms)]
+            calls += [(np.matmul, (lay.series, U.transpose(1, 0, 2), block)),
+                      (np.multiply, (self._coefs, sq[:, None, :], pre)), (np.exp, (pre, pre)),
+                      (np.multiply, (block, pre, block))]
+            pos += F * n
         if self.table is not None:  # Horner's rule, highest degree first, into P's last d rows
             poly, x, W = P[pos:], q.T, self.table
             calls.append((np.multiply, (W[-1], x, poly)))
             for j in range(len(W) - 2, 0, -1):
                 calls += [(np.add, (poly, W[j], poly)), (np.multiply, (poly, x, poly))]
             calls.append((np.add, (poly, W[0], poly)))
-        calls.append((np.dot, (self._a, P, out)))
-        return q, out, calls
+        calls.append((np.dot, (lay.weights, P, out)))
+        return q, out, calls, sum(arr.nbytes for arr in arrays)
 
 
 def _moment_table(specs, points: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -571,3 +706,21 @@ def _moment_table(specs, points: np.ndarray, a: np.ndarray, b: np.ndarray):
         power *= points
     W = moments * (_BINOMIAL[: degree + 1, : degree + 1].T @ coef)
     return W[:, :, None]
+
+
+def _gaussian_moments(zt, centre, radius, feats, coefs, b) -> np.ndarray:
+    """M[g, j] = sum_k b_k exp(c_g z'^2) (z'/R_z)^j for j <= SERIES_TERMS,
+    with z' = z_kf - z0_f, f = feats[g] and c_g = coefs[g]; R_z is taken
+    as 1 where it is 0, where every z' is 0."""
+    zc = zt[feats]  # (G, k); this and `term` are the only arrays of that size
+    zc -= centre[feats, None]
+    term = np.square(zc)
+    term *= coefs[:, None]
+    np.exp(term, out=term)
+    term *= b
+    zc /= np.where(radius > 0.0, radius, 1.0)[feats, None]
+    moments = np.empty((len(feats), SERIES_TERMS + 1))
+    for j in range(SERIES_TERMS + 1):
+        np.sum(term, axis=1, out=moments[:, j])
+        term *= zc
+    return moments

@@ -113,13 +113,12 @@ def decision_values(model: MklModel, points: np.ndarray) -> np.ndarray:
     f(x) = sum_i mu_i / r_i sum_j 2 c_j y_j kappa_i(z_j, x) + bias over the
     kernels with mu > 0 and the support points z_j, computed by
     `kernels.KernelSums`. A query with a NaN or infinite coordinate is a
-    ValueError, as is one of the wrong dimension.
+    ValueError (from `KernelSums`' pass over the query ranges), as is one of
+    the wrong dimension.
     """
     Q = np.asarray(points, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != model.d:
         raise ValueError(f"queries have shape {Q.shape}, model expects (*, {model.d})")
-    if not np.isfinite(Q).all():
-        raise ValueError("queries must be finite")
     keep = np.flatnonzero(model.mu > 0.0)
     specs = [model.specs[i] for i in keep]
     weights = model.mu[keep] / np.array([s.r for s in specs])

@@ -3,10 +3,10 @@
 Nothing here is used on the training path; these routines deliberately take
 the slow, dense road so the fast closed-form code has something honest to be
 compared against. Single kernel entries, signed Gram columns and dense Gram
-matrices check the column evaluator; the arrow-matrix exponential and the
-dense series check the solver's closed form; the LibSVM writer feeds the
-parser's round trip; and the certified QCQP solver checks the approximation
-guarantee.
+matrices check the column evaluator; explicit kernel sums check prediction;
+the arrow-matrix exponential and the dense series check the solver's closed
+form; the LibSVM writer feeds the parser's round trip; and the certified
+QCQP solver checks the approximation guarantee.
 """
 
 from __future__ import annotations
@@ -35,6 +35,18 @@ def eval_kernel(spec: KernelSpec, x, z) -> float:
     for _ in range(int(spec.param) - 1):
         out *= base
     return float(out)
+
+
+def explicit_sums(specs, points, a, b, queries) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i a_i sum_k b_k kappa_i(z_k, x) at each query x, one `eval_kernel`
+    term at a time and summed with math.fsum, and beside it the sum of the
+    terms' magnitudes, the scale of the rounding error a fast sum may make."""
+    sums, scales = [], []
+    for x in queries:
+        terms = [w * c * eval_kernel(s, z, x) for w, s in zip(a, specs) for z, c in zip(points, b)]
+        sums.append(math.fsum(terms))
+        scales.append(math.fsum(map(abs, terms)))
+    return np.array(sums), np.array(scales)
 
 
 def signed_column(acc: GramAccessor, i: int, j: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mklmmwu import (
     Dataset,
     DegenerateModel,
+    GAUSSIAN_BANDWIDTHS,
     KernelSpec,
     MalformedModel,
     POLYNOMIAL_DEGREES,
@@ -30,11 +32,11 @@ from mklmmwu import (
 from mklmmwu import kernels as kernels_module
 from mklmmwu import model as model_module
 from mklmmwu.data import ScalingParams
-from mklmmwu.kernels import MAX_POLYNOMIAL_DEGREE, KernelSums
+from mklmmwu.kernels import MAX_POLYNOMIAL_DEGREE, SERIES_TERMS, KernelSums, series_terms
 from mklmmwu.model import MklModel, compute_bias, decision_values, error_rate, save_model
 
 from helpers import dense_grams, make_blobs, make_random_dataset, mixed_saddle_instance
-from reference import brute_qcqp, dense_signed_gram, eval_kernel
+from reference import brute_qcqp, dense_signed_gram, explicit_sums
 from test_kernels import SIGMA_HALF
 
 
@@ -212,17 +214,27 @@ class TestPredict:
         model, rng = _mixed_model()
         queries = np.vstack([rng.random((3, 3)), [1.3, -0.2, 0.5]])
         got = decision_values(model, queries)
-        want = np.full(len(queries), model.bias)
-        for q, x in enumerate(queries):
-            for weight, spec in zip(model.mu, model.specs):
-                for z, y, c in zip(model.support_points, model.support_labels, model.support_coefs):
-                    want[q] += weight / spec.r * 2.0 * c * y * eval_kernel(spec, z, x)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert np.allclose(got, _explicit(model, queries), rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch(self):
         model = model_from_state(_train_two_point()[0])
         with pytest.raises(ValueError):
             decision_values(model, [[0.1, 0.2]])
+
+
+def _explicit(model, queries):
+    """The model's decision values summed term by term by the reference."""
+    a = model.mu / np.array([s.r for s in model.specs])
+    b = 2.0 * model.support_coefs * model.support_labels
+    return explicit_sums(model.specs, model.support_points, a, b, queries)[0] + model.bias
+
+
+def _narrow(specs):
+    """The specs with every Gaussian bandwidth divided by 64, the default
+    ladder then running from 1/64 to 1/4: on [0,1] points with queries
+    spread over [0,1], t = 2|c| R_z R_x exceeds 1, so per-feature Gaussians
+    stream."""
+    return tuple(dataclasses.replace(s, param=s.param / 64.0) if s.kind == "gaussian" else s for s in specs)
 
 
 def _mixed_model():
@@ -254,17 +266,19 @@ class _PoolSpy(kernels_module.ThreadPoolExecutor):
 
 @pytest.fixture
 def small_batches(monkeypatch):
-    """Slabs of 720 bytes: the mixed model's chunks hold 5 queries, and the
-    thread pools prediction starts are recorded in `_PoolSpy.sizes`."""
-    monkeypatch.setattr(kernels_module, "SLAB_BYTES", 720)
+    """The mixed model with narrow Gaussians, which all stream, and scratch
+    of 5000 bytes: its chunks hold 5 queries, and the thread pools
+    prediction starts are recorded in `_PoolSpy.sizes`."""
+    monkeypatch.setattr(kernels_module, "SLAB_BYTES", 5000)
     monkeypatch.setattr(kernels_module, "ThreadPoolExecutor", _PoolSpy)
     monkeypatch.setattr(_PoolSpy, "sizes", [])
     model, rng = _mixed_model()
+    model = dataclasses.replace(model, specs=_narrow(model.specs))
     keep = model.mu > 0.0
-    batch = KernelSums([s for s, k in zip(model.specs, keep) if k], model.support_points,
-                       model.mu[keep], model.support_coefs).batch
-    assert batch == 5
-    return model, rng, batch
+    lay = KernelSums([s for s, k in zip(model.specs, keep) if k], model.support_points,
+                     model.mu[keep], model.support_coefs).layout(rng.uniform(-0.2, 1.2, (5, 3)))
+    assert len(lay.closed) == 0 and lay.batch == 5
+    return model, rng, lay.batch
 
 
 def _with_cores(monkeypatch, cores):
@@ -290,25 +304,23 @@ class TestBatchedPrediction:
         # feature 2 loses its degree-1 and degree-2 polynomials, which leave
         # gaps in the closed-form table, and its two widest Gaussians, so
         # those two groups read features [0, 1, 3]: an index array that the
-        # executor gathers for the chain's root, and its rung squares in place
+        # executor gathers for the chain's root, and its rung squares in
+        # place; the Gaussians are narrow, so all of them stream
         rng = np.random.default_rng(36)
         ds = make_random_dataset(6, 4, 37)
-        specs = bind(make_default_family(4, per_feature=True), ds).specs
+        specs = bind(_narrow(make_default_family(4, per_feature=True)), ds).specs
         mu = rng.random(len(specs)) + 0.1
         mu[[24, 25, 3 + 24 + 8, 3 + 24 + 7]] = 0.0
         model = MklModel(specs=specs, mu=mu, support_points=ds.points, support_labels=ds.labels,
                          support_coefs=rng.random(ds.n) + 0.1, bias=0.1, config=SolverConfig(eps=0.4))
         keep = mu > 0.0
-        plan = KernelSums([s for s, k in zip(specs, keep) if k], ds.points, mu[keep], model.support_coefs).plan
-        gathered = [op for op in plan if isinstance(op.feats, np.ndarray)]
-        assert [(op.gaussian, op.src is None) for op in gathered] == [(True, True), (True, False)]
         queries = rng.uniform(-0.2, 1.2, (5, 4))
-        want = np.full(len(queries), model.bias)
-        for q, x in enumerate(queries):
-            for weight, spec in zip(mu, specs):
-                for z, y, c in zip(model.support_points, model.support_labels, model.support_coefs):
-                    want[q] += weight / spec.r * 2.0 * c * y * eval_kernel(spec, z, x)
-        assert np.allclose(decision_values(model, queries), want, rtol=1e-12, atol=1e-14)
+        lay = KernelSums([s for s, k in zip(specs, keep) if k], ds.points, mu[keep],
+                         model.support_coefs).layout(queries)
+        assert len(lay.closed) == 0
+        gathered = [op for op in lay.plan if isinstance(op.feats, np.ndarray)]
+        assert [(op.gaussian, op.src is None) for op in gathered] == [(True, True), (True, False)]
+        assert np.allclose(decision_values(model, queries), _explicit(model, queries), rtol=1e-12, atol=1e-14)
 
     def test_empty_queries_start_no_thread(self, small_batches, monkeypatch):
         model, _, _ = small_batches
@@ -348,6 +360,24 @@ class TestBatchedPrediction:
         assert _PoolSpy.sizes == [1]
         assert capped.tobytes() == uncapped.tobytes()
 
+    def test_all_feature_scratch_fits_the_budget(self):
+        # 841 support points, as the hard-margin bench fit keeps: the x.z,
+        # half-distance and x.z + 1 inputs are each as large as the slab
+        rng = np.random.default_rng(41)
+        sums = KernelSums(make_default_family(33), rng.random((841, 33)), rng.random(12) + 0.1,
+                          rng.standard_normal(841))
+        lay = sums.layout(rng.random((100, 33)))
+        tracemalloc.start()
+        try:
+            scratch = sums._scratch(lay, lay.batch)
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        finally:
+            tracemalloc.stop()
+        allocated = sum(stat.size for stat in arrays.statistics("filename"))
+        assert allocated == scratch[3] <= kernels_module.SLAB_BYTES
+        assert lay.batch == kernels_module.SLAB_BYTES // sums._scratch(lay, 1)[3]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_query_is_refused(self, bad):
         model, rng = _mixed_model()
@@ -373,10 +403,8 @@ class TestClosedFormPolynomials:
         b = rng.standard_normal(len(points))
         b -= b.mean()  # as in a fit, where both classes carry the same coefficient mass
         queries = rng.uniform(low, high, (7, 3))
-        got = KernelSums(specs, points, a, b)(queries)
-        for x, value in zip(queries, got):
-            terms = [w * c * eval_kernel(s, z, x) for w, s in zip(a, specs) for z, c in zip(points, b)]
-            assert abs(value - math.fsum(terms)) <= 1e-12 * sum(map(abs, terms))
+        want, scale = explicit_sums(specs, points, a, b, queries)
+        assert (np.abs(KernelSums(specs, points, a, b)(queries) - want) <= 1e-12 * scale).all()
 
     def test_polynomials_alone_start_no_thread(self, monkeypatch):
         # nothing to stream: the chunks run inline, however many there are
@@ -390,18 +418,96 @@ class TestClosedFormPolynomials:
         model = MklModel(specs=specs, mu=rng.random(len(specs)) + 0.1, support_points=ds.points,
                          support_labels=ds.labels, support_coefs=rng.random(ds.n) + 0.1, bias=-0.2,
                          config=SolverConfig(eps=0.4))
-        sums = KernelSums(specs, ds.points, model.mu, model.support_coefs)
-        assert sums.plan == [] and sums.batch == 30
-        queries = rng.uniform(-0.2, 1.2, (4 * sums.batch + 1, 3))
+        lay = KernelSums(specs, ds.points, model.mu, model.support_coefs).layout(np.zeros((1, 3)))
+        assert lay.plan == [] and lay.batch == 12  # 3 query, 1 value and 3 polynomial floats a query
+        queries = rng.uniform(-0.2, 1.2, (4 * lay.batch + 1, 3))
         before = threading.active_count()
         got = decision_values(model, queries)
         assert _PoolSpy.sizes == [] and threading.active_count() == before
-        want = np.full(len(queries), model.bias)
-        for q, x in enumerate(queries):
-            for weight, spec in zip(model.mu, specs):
-                for z, y, c in zip(model.support_points, model.support_labels, model.support_coefs):
-                    want[q] += weight / spec.r * 2.0 * c * y * eval_kernel(spec, z, x)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert np.allclose(got, _explicit(model, queries), rtol=1e-12, atol=1e-14)
+
+
+class TestClosedFormGaussians:
+    """KernelSums sums a per-feature Gaussian as a Taylor series about the
+    midpoint of the points' range when t = 2|c| R_z R_x <= 1 for the call's
+    queries, and streams it otherwise."""
+
+    @staticmethod
+    def _t(spec, points, queries):
+        """t of a per-feature Gaussian, from the ranges of its coordinate."""
+        z, x = points[:, spec.feature], queries[:, spec.feature]
+        centre = (z.min() + z.max()) / 2.0
+        return (z.max() - z.min()) / 2.0 * np.abs(x - centre).max() / spec.param**2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), d=st.integers(1, 3),
+           narrow=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3),
+           span=st.sampled_from([(0.0, 1.0), (-0.3, 1.3), (-2.0, 3.0)]))
+    def test_matches_explicit_sum_property(self, seed, k, d, narrow, span):
+        # default and narrow bandwidths, so both sides of the bound run
+        rng = np.random.default_rng(seed)
+        points = rng.random((k, d))
+        specs = [KernelSpec("gaussian", bw, f) for f in range(d) for bw in GAUSSIAN_BANDWIDTHS + tuple(narrow)]
+        a = rng.uniform(-1.0, 1.0, len(specs))
+        b = rng.standard_normal(k)
+        queries = rng.uniform(*span, (6, d))
+        sums = KernelSums(specs, points, a, b)
+        lay = sums.layout(queries)
+        t = np.array([self._t(s, points, queries) for s in specs])
+        assert sorted(lay.closed) == list(np.flatnonzero(t <= 1.0))
+        if len(lay.closed):  # every closed kernel's truncation bound is below rounding
+            J = lay.series.shape[2] - 1
+            assert J == series_terms(t[lay.closed].max()) <= SERIES_TERMS
+            assert (np.exp(2.0 * t[lay.closed]) * t[lay.closed] ** (J + 1) / math.factorial(J + 1) <= 2.0**-53).all()
+        want, scale = explicit_sums(specs, points, a, b, queries)
+        assert (np.abs(sums(queries) - want) <= 1e-12 * scale).all()
+
+    def test_routing_follows_the_bound(self):
+        # points and queries at 0 and 1: z0 = 1/2 and R_z = R_x = 1/2, so
+        # t = 1 / (4 sigma^2), exactly 1 at sigma = 1/2; an all-feature
+        # Gaussian always streams
+        points = queries = np.array([[0.0], [1.0]])
+        specs = [KernelSpec("gaussian", 0.5, 0), KernelSpec("gaussian", 0.49, 0), KernelSpec("gaussian", 0.5)]
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([1.0, -0.5])
+        sums = KernelSums(specs, points, a, b)
+        lay = sums.layout(queries)
+        assert list(lay.closed) == [0] and lay.series.shape[2] == SERIES_TERMS + 1
+        assert np.count_nonzero(lay.series.any(axis=2)) == 1  # the streamed one's slot is empty
+        assert sorted(op.feats for op in lay.plan if op.feats is not None) == [0]
+        assert sum(op.count for op in lay.plan) == 2
+        want, scale = explicit_sums(specs, points, a, b, queries)
+        assert (np.abs(sums(queries) - want) <= 1e-12 * scale).all()
+
+    def test_series_terms_are_the_fewest_that_meet_the_bound(self):
+        def bound(t, J):
+            return math.exp(2.0 * t) * t ** (J + 1) / math.factorial(J + 1)
+
+        for t in np.linspace(0.0, 1.0, 201):
+            J = series_terms(t)
+            assert bound(t, J) <= 2.0**-53
+            assert J == 1 or bound(t, J - 1) > 2.0**-53
+        assert series_terms(1.0) == SERIES_TERMS == 18
+
+    def test_per_feature_model_within_the_bound_starts_no_thread(self, monkeypatch):
+        # the default per-feature family on [0,1] points: every kernel in
+        # closed form, an empty plan, and the chunks run inline
+        monkeypatch.setattr(kernels_module, "SLAB_BYTES", 4000)
+        monkeypatch.setattr(kernels_module, "ThreadPoolExecutor", _PoolSpy)
+        monkeypatch.setattr(_PoolSpy, "sizes", [])
+        _with_cores(monkeypatch, 4)
+        rng = np.random.default_rng(40)
+        ds = make_random_dataset(9, 3, 41)
+        specs = bind(make_default_family(3, per_feature=True), ds).specs
+        model = MklModel(specs=specs, mu=rng.random(len(specs)) + 0.1, support_points=ds.points,
+                         support_labels=ds.labels, support_coefs=rng.random(ds.n) + 0.1, bias=0.3,
+                         config=SolverConfig(eps=0.4))
+        queries = rng.uniform(-0.2, 1.2, (30, 3))
+        lay = KernelSums(specs, ds.points, model.mu, model.support_coefs).layout(queries)
+        assert lay.plan == [] and len(lay.closed) == 27 and len(queries) >= 4 * lay.batch
+        before = threading.active_count()
+        got = decision_values(model, queries)
+        assert _PoolSpy.sizes == [] and threading.active_count() == before
+        assert np.allclose(got, _explicit(model, queries), rtol=1e-12, atol=1e-14)
 
 
 class TestPredictionOrder:
@@ -418,10 +524,11 @@ class TestPredictionOrder:
         assert np.abs(decision_values(shuffled, queries) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_full_family_plan_is_contiguous(self, monkeypatch):
-        # every kernel of both default families kept, listed in family order:
-        # the per-feature polynomials go to the closed-form table and the
-        # rest to the plan, which reads each step's features as a single
-        # index or a step-1 slice, in place, with one exp per scope
+        # every kernel of both default families kept, listed in family order,
+        # with narrow Gaussians: the per-feature polynomials go to the
+        # closed-form table and the rest to the plan, which reads each step's
+        # features as a single index or a step-1 slice, in place, with one
+        # exp per scope
         built = []
 
         class Spy(KernelSums):
@@ -432,18 +539,21 @@ class TestPredictionOrder:
         monkeypatch.setattr(model_module, "KernelSums", Spy)
         rng = np.random.default_rng(34)
         ds = make_random_dataset(10, 4, 35)
-        specs = bind(make_default_family(4, per_feature=True) + make_default_family(4), ds).specs
+        specs = bind(_narrow(make_default_family(4, per_feature=True) + make_default_family(4)), ds).specs
         model = MklModel(specs=specs, mu=rng.random(len(specs)) + 0.1, support_points=ds.points,
                          support_labels=ds.labels, support_coefs=rng.random(ds.n) + 0.1, bias=-0.3,
                          config=SolverConfig(eps=0.4))
-        decision_values(model, rng.random((2, 4)))
+        queries = rng.random((2, 4))
+        decision_values(model, queries)
         (sums,) = built
+        lay = sums.layout(queries)
+        assert len(lay.closed) == 0
         per_feature_polys = sum(s.kind == "poly" and s.feature is not None for s in specs)
-        assert sum(op.count for op in sums.plan) + per_feature_polys == len(specs)
-        assert all(op.gaussian or op.feats is None for op in sums.plan)
+        assert sum(op.count for op in lay.plan) + per_feature_polys == len(specs)
+        assert all(op.gaussian or op.feats is None for op in lay.plan)
         assert sums.table.shape == (max(POLYNOMIAL_DEGREES) + 1, 4, 1)
-        assert all(op.feats is None or isinstance(op.feats, int) or op.feats.step == 1 for op in sums.plan)
-        roots = [op.feats is None for op in sums.plan if op.gaussian and op.src is None]
+        assert all(op.feats is None or isinstance(op.feats, int) or op.feats.step == 1 for op in lay.plan)
+        roots = [op.feats is None for op in lay.plan if op.gaussian and op.src is None]
         assert sorted(roots) == [False, True]
 
 
