@@ -94,6 +94,14 @@ def _map_labels(raw: np.ndarray) -> np.ndarray:
     raise NonBinaryLabels(f"label set {sorted(seen)} is not a supported binary encoding")
 
 
+#: Records `parse_libsvm` converts at once: one `np.loadtxt` call takes all
+#: of their feature tokens. The block's text and numbers are held beside the
+#: buffers, so a larger block raises the parser's peak memory.
+BLOCK_RECORDS = 64
+
+_TOKEN = np.dtype([("index", np.int64), ("value", np.float64)])
+
+
 def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     """Parse LibSVM text into a dense, unscaled Dataset.
 
@@ -103,66 +111,47 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     seen, or `n_features` when given (it must cover every index in the file).
 
     The source is read one line at a time, with the line breaks of
-    `str.splitlines`. A record is split on whitespace and each feature token
-    at its first colon; `map(int, ...)`, `map(float, ...)` and the record
-    checks (indices 1-based and strictly increasing, values finite) run over
-    the whole record in C. A record that fails is walked token by token to
-    report its first fault, so the fast path never decides an error message.
-    Labels, counts, indices and values collect in typed buffers, and one
-    flat-index assignment fills the dense array; a width too large to
-    allocate raises ParseError at the first line that uses the largest index.
+    `str.splitlines`, and each record's label is split off at the first
+    whitespace. Records are converted in blocks of BLOCK_RECORDS: numpy's C
+    text reader converts the index and value of every feature token of a
+    block in one `np.loadtxt` call, which splits the records on whitespace
+    as it reads them, and the block is checked with array operations (labels
+    and values finite, indices 1-based and strictly increasing within each
+    record, none past `n_features`). A block that the reader refuses, holds
+    a non-ASCII character, or fails a check is read again record by record
+    by `_Buffers.add_record`, which alone decides what is accepted and every
+    error message, so the first faulty record in the file raises. Labels,
+    counts, indices and values collect in typed buffers, and one flat-index
+    assignment fills the dense array; a width too large to allocate raises
+    ParseError at the first line that uses the largest index.
     """
     if isinstance(source, str):
         source = _cut_lines(source)
-    limit = math.inf if n_features is None else n_features
-    labels = array("d")
-    counts = array("q")
-    indices = array("q")
-    values = array("d")
-    top = top_line = 0  # largest index and the first line that uses it
+    into = _Buffers(n_features)
+    line_nos, labels, rests = [], [], []  # the block: line numbers, label tokens, the text after each label
     for line_no, raw_line in enumerate(chain.from_iterable(map(str.splitlines, source)), start=1):
-        tokens = raw_line.partition("#")[0].split()
-        if not tokens:
-            continue
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            label = math.nan
-        if not math.isfinite(label):
-            raise ParseError(line_no, f"bad label {tokens[0]!r}")
-        feats = tokens[1:]
-        if feats:
-            idx_s, _, val_s = zip(*map(str.partition, feats, repeat(":")))
-            try:
-                idx = list(map(int, idx_s))
-                vals = list(map(float, val_s))
-                ok = all(map(operator.lt, [0, *idx], idx)) and all(map(math.isfinite, vals))
-            except ValueError:
-                ok = False
-            if not ok:
-                _raise_first_fault(line_no, feats)
-            if idx[-1] > limit:
-                raise ParseError(line_no, f"file uses index {idx[-1]} > n_features={n_features}")
-            if idx[-1] > top:
-                top, top_line = idx[-1], line_no
-            if top < 1 << 63:  # wider cannot be allocated; the rest of the file is only checked
-                indices.fromlist(idx)
-                values.fromlist(vals)
-        labels.append(label)
-        counts.append(len(feats))
-    if not labels:
+        record = raw_line.partition("#")[0].split(None, 1)
+        if record:
+            line_nos.append(line_no)
+            labels.append(record[0])
+            rests.append(record[1] if len(record) > 1 else "")
+            if len(rests) == BLOCK_RECORDS:
+                into.add_block(line_nos, labels, rests)
+                line_nos, labels, rests = [], [], []
+    into.add_block(line_nos, labels, rests)
+    if not into.labels:
         raise EmptyDataset("no data records found")
-    n = len(labels)
+    n, top = len(into.labels), into.top
     d = max(top, 1) if n_features is None else max(n_features, 1)
     try:
         points = np.zeros((n, d))
     except (MemoryError, ValueError):  # ValueError: a width past what numpy can index
-        raise ParseError(top_line, f"a dense {n} x {d} array (largest index {top}) cannot be allocated") from None
+        raise ParseError(into.top_line, f"a dense {n} x {d} array (largest index {top}) cannot be allocated") from None
     # flat position of each entry: row * d + index - 1, built in the index buffer
-    flat = np.frombuffer(indices, dtype=np.int64)
-    flat += np.repeat(np.arange(-1, n * d - 1, d, dtype=np.int64), np.frombuffer(counts, dtype=np.int64))
-    points.put(flat, np.frombuffer(values))
-    return Dataset(points, _map_labels(np.frombuffer(labels)))
+    flat = np.frombuffer(into.indices, dtype=np.int64)
+    flat += np.repeat(np.arange(-1, n * d - 1, d, dtype=np.int64), np.frombuffer(into.counts, dtype=np.int64))
+    points.put(flat, np.frombuffer(into.values))
+    return Dataset(points, _map_labels(np.frombuffer(into.labels)))
 
 
 def _cut_lines(text: str):
@@ -173,6 +162,96 @@ def _cut_lines(text: str):
         stop = text.find("\n", start) + 1 or end
         yield text[start:stop]
         start = stop
+
+
+class _Buffers:
+    """The records `parse_libsvm` has read: labels, feature counts, indices
+    and values in typed buffers, and the largest index with the first line
+    that uses it. An index past `n_features`, when given, is refused."""
+
+    def __init__(self, n_features: int | None):
+        self.n_features = n_features
+        self.limit = math.inf if n_features is None else n_features
+        self.labels = array("d")
+        self.counts = array("q")
+        self.indices = array("q")
+        self.values = array("d")
+        self.top = self.top_line = 0
+
+    def add_block(self, line_nos: list[int], labels: list[str], rests: list[str]) -> None:
+        """Add records given by line number, label token and the text after
+        the label: converted and checked together, or if that fails, one at
+        a time."""
+        if not self._add_converted(line_nos, labels, rests):
+            for line_no, label_s, rest in zip(line_nos, labels, rests):
+                self.add_record(line_no, label_s, rest.split())
+
+    def _add_converted(self, line_nos, labels, rests) -> bool:
+        """Add a block converted by one `np.loadtxt` call and checked with
+        array operations, if it passes every check of `add_record`; False,
+        having added nothing, if the reader refuses it or a check fails."""
+        if not all(map(str.isascii, rests)):  # numpy's integer reader takes some other characters for digits
+            return False
+        try:
+            lab = list(map(float, labels))
+            toks = np.empty(0, _TOKEN)
+            if any(rests):  # loadtxt warns of an input without tokens
+                # split as the reader takes them: a block's tokens are never all alive at once
+                toks = np.loadtxt(chain.from_iterable(map(str.split, rests)), dtype=_TOKEN, comments=None,
+                                  delimiter=":", ndmin=1)
+        except ValueError:
+            return False
+        idx, vals = toks["index"], toks["value"]
+        # each token the reader took holds exactly one colon
+        counts = np.fromiter(map(str.count, rests, repeat(":")), np.int64, len(rests))
+        ends = np.cumsum(counts)
+        prev = np.empty_like(idx)  # the index before each one in its record, 0 before a first
+        prev[1:] = idx[:-1]
+        prev[(ends - counts)[counts > 0]] = 0
+        if not (all(map(math.isfinite, lab)) and (idx > prev).all() and np.isfinite(vals).all()):
+            return False
+        if idx.size:
+            last = int(idx.max())
+            if last > self.limit:
+                return False
+            if last > self.top:  # the record of its first occurrence
+                self.top, self.top_line = last, line_nos[int(np.searchsorted(ends, idx.argmax(), side="right"))]
+            if self.top < 1 << 63:
+                self.indices.frombytes(idx.tobytes())
+                self.values.frombytes(vals.tobytes())
+        self.labels.fromlist(lab)
+        self.counts.frombytes(counts.tobytes())
+        return True
+
+    def add_record(self, line_no: int, label_s: str, feats: list[str]) -> None:
+        """Add one record, converting its tokens with C-level maps and
+        checking them in one pass; the first fault of a record that fails is
+        found token by token, so the fast checks never decide a message."""
+        try:
+            label = float(label_s)
+        except ValueError:
+            label = math.nan
+        if not math.isfinite(label):
+            raise ParseError(line_no, f"bad label {label_s!r}")
+        if feats:
+            idx_s, _, val_s = zip(*map(str.partition, feats, repeat(":")))
+            try:
+                idx = list(map(int, idx_s))
+                vals = list(map(float, val_s))
+                ok = all(map(operator.lt, [0, *idx], idx)) and all(map(math.isfinite, vals))
+            except ValueError:
+                ok = False
+            if not ok:
+                _raise_first_fault(line_no, feats)
+            if idx[-1] > self.limit:
+                raise ParseError(line_no, f"file uses index {idx[-1]} > n_features={self.n_features}")
+            if idx[-1] > self.top:
+                self.top, self.top_line = idx[-1], line_no
+            if self.top < 1 << 63:  # wider cannot be allocated; the rest of the file is only checked
+                self.indices.fromlist(idx)
+                self.values.fromlist(vals)
+        self.labels.append(label)
+        self.counts.append(len(feats))
 
 
 def _raise_first_fault(line_no: int, feats: list[str]) -> None:

@@ -491,10 +491,10 @@ class KernelSums:
 
     A per-feature Gaussian is summed as a truncated series (see the module
     docstring) when the call's queries are near enough to the points on its
-    feature, t = 2|c| R_z R_x <= 1. The constructor takes a_i times the
-    points' moments up to SERIES_TERMS for every per-feature Gaussian; a
-    call reads R_x from one min/max pass over its queries, which also
-    refuses a NaN or infinite coordinate, and `layout` splits the kernels.
+    feature, t = 2|c| R_z R_x <= 1. A call reads R_x from one min/max pass
+    over its queries, which also refuses a NaN or infinite coordinate;
+    `layout` splits the kernels and takes a_i times the points' moments of
+    the kernels in closed form, up to the J terms the call needs.
     A chunk raises x'/R_x to the powers j <= J once per feature, and one
     batched matrix product with the (features, slots, J + 1) coefficient
     block gives every kernel's series, which it multiplies by exp(c x'^2).
@@ -541,9 +541,6 @@ class KernelSums:
         lo, hi = Z.min(axis=0), Z.max(axis=0)
         centre = 0.5 * lo + 0.5 * hi
         radius = np.maximum(centre - lo, hi - centre)  # R_z: |z'| <= R_z
-        #: (G, SERIES_TERMS + 1) a_g times the moments of the Gaussians
-        self._moments = _gaussian_moments(self._Zt, centre, radius, feats, -0.5 * self._inv_var,
-                                          self._b) * self._a[self._gauss, None]
         # The series block has a row per feature with Gaussians (`_features`)
         # and a slot per Gaussian on it; an empty slot has coefficient 0.
         self._features, self._row = np.unique(feats, return_inverse=True)
@@ -572,8 +569,11 @@ class KernelSums:
             terms = np.ones((int(closed.sum()), series_terms(float(t[closed].max())) + 1))
             for j in range(1, terms.shape[1]):  # t^j / j!
                 terms[:, j] = terms[:, j - 1] * t[closed] / j
+            row = self._row[closed]
+            moments = _gaussian_moments(self._Zt[self._features[row]], self._centre[row], self._radius[row],
+                                        -0.5 * self._inv_var[closed], self._b, terms.shape[1])
             series = np.zeros(self._coefs.shape[:2] + terms.shape[1:])
-            series[self._row[closed], self._slot[closed]] = self._moments[closed, : terms.shape[1]] * terms
+            series[row, self._slot[closed]] = moments * self._a[self._gauss[closed], None] * terms
         streamed = self._streamed.copy()
         streamed[self._gauss[closed]] = False
         stream = np.flatnonzero(streamed)
@@ -708,19 +708,19 @@ def _moment_table(specs, points: np.ndarray, a: np.ndarray, b: np.ndarray):
     return W[:, :, None]
 
 
-def _gaussian_moments(zt, centre, radius, feats, coefs, b) -> np.ndarray:
-    """M[g, j] = sum_k b_k exp(c_g z'^2) (z'/R_z)^j for j <= SERIES_TERMS,
-    with z' = z_kf - z0_f, f = feats[g] and c_g = coefs[g]; R_z is taken
-    as 1 where it is 0, where every z' is 0."""
-    zc = zt[feats]  # (G, k); this and `term` are the only arrays of that size
-    zc -= centre[feats, None]
+def _gaussian_moments(zc, centre, radius, coefs, b, terms: int) -> np.ndarray:
+    """M[g, j] = sum_k b_k exp(c_g z'^2) (z'/R_z)^j for j < terms, with
+    z' = z_k - z0 from the points' coordinates zc[g] (overwritten), the
+    midpoint z0 = centre[g], R_z = radius[g] and c_g = coefs[g]; R_z is
+    taken as 1 where it is 0, where every z' is 0."""
+    zc -= centre[:, None]  # (G, k); this and `term` are the only arrays of that size
     term = np.square(zc)
     term *= coefs[:, None]
     np.exp(term, out=term)
     term *= b
-    zc /= np.where(radius > 0.0, radius, 1.0)[feats, None]
-    moments = np.empty((len(feats), SERIES_TERMS + 1))
-    for j in range(SERIES_TERMS + 1):
+    zc /= np.where(radius > 0.0, radius, 1.0)[:, None]
+    moments = np.empty((len(zc), terms))
+    for j in range(terms):
         np.sum(term, axis=1, out=moments[:, j])
         term *= zc
     return moments

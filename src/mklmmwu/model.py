@@ -297,6 +297,8 @@ def load_model(source) -> MklModel:
     if trailing is not None:
         raise MalformedModel(f"unexpected trailing record {trailing!r}")
     sv = np.array(rows)
+    if (sv[:, 0] == sv[0, 0]).all():  # each step of a fit takes a point of each class
+        raise MalformedModel(f"every support label is {sv[0, 0]:+g}; a fit keeps points of both classes")
     return MklModel(
         specs=tuple(specs),
         mu=np.array(mus),

@@ -5,19 +5,23 @@ the slow, dense road so the fast closed-form code has something honest to be
 compared against. Single kernel entries, signed Gram columns and dense Gram
 matrices check the column evaluator; explicit kernel sums check prediction;
 the arrow-matrix exponential and the dense series check the solver's closed
-form; the LibSVM writer feeds the parser's round trip; and the certified
+form; the LibSVM writer feeds the parser's round trip and the
+record-by-record parser is the block parser's oracle; and the certified
 QCQP solver checks the approximation guarantee.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
-from mklmmwu.data import Dataset
-from mklmmwu.errors import InfeasibleDual, NumericalFailure
+from mklmmwu.data import Dataset, _cut_lines, _map_labels
+from mklmmwu.errors import EmptyDataset, InfeasibleDual, NumericalFailure, ParseError
 from mklmmwu.kernels import GramAccessor, KernelSpec
 
 
@@ -117,6 +121,86 @@ def serialize_libsvm(dataset: Dataset) -> str:
         parts.extend(f"{j + 1}:{v:.17g}" for j, v in enumerate(x) if v != 0.0)
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+def parse_libsvm_records(source, n_features: int | None = None) -> Dataset:
+    """`mklmmwu.data.parse_libsvm` as it was before it converted blocks of
+    records at once: each record converted with C-level maps and checked on
+    its own, its first fault found token by token. The same accepted
+    language, dataset and error for every input."""
+    if isinstance(source, str):
+        source = _cut_lines(source)
+    limit = math.inf if n_features is None else n_features
+    labels = array("d")
+    counts = array("q")
+    indices = array("q")
+    values = array("d")
+    top = top_line = 0  # largest index and the first line that uses it
+    for line_no, raw_line in enumerate(chain.from_iterable(map(str.splitlines, source)), start=1):
+        tokens = raw_line.partition("#")[0].split()
+        if not tokens:
+            continue
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            label = math.nan
+        if not math.isfinite(label):
+            raise ParseError(line_no, f"bad label {tokens[0]!r}")
+        feats = tokens[1:]
+        if feats:
+            idx_s, _, val_s = zip(*map(str.partition, feats, repeat(":")))
+            try:
+                idx = list(map(int, idx_s))
+                vals = list(map(float, val_s))
+                ok = all(map(operator.lt, [0, *idx], idx)) and all(map(math.isfinite, vals))
+            except ValueError:
+                ok = False
+            if not ok:
+                _raise_first_fault(line_no, feats)
+            if idx[-1] > limit:
+                raise ParseError(line_no, f"file uses index {idx[-1]} > n_features={n_features}")
+            if idx[-1] > top:
+                top, top_line = idx[-1], line_no
+            if top < 1 << 63:  # wider cannot be allocated; the rest of the file is only checked
+                indices.fromlist(idx)
+                values.fromlist(vals)
+        labels.append(label)
+        counts.append(len(feats))
+    if not labels:
+        raise EmptyDataset("no data records found")
+    n = len(labels)
+    d = max(top, 1) if n_features is None else max(n_features, 1)
+    try:
+        points = np.zeros((n, d))
+    except (MemoryError, ValueError):  # ValueError: a width past what numpy can index
+        raise ParseError(top_line, f"a dense {n} x {d} array (largest index {top}) cannot be allocated") from None
+    # flat position of each entry: row * d + index - 1, built in the index buffer
+    flat = np.frombuffer(indices, dtype=np.int64)
+    flat += np.repeat(np.arange(-1, n * d - 1, d, dtype=np.int64), np.frombuffer(counts, dtype=np.int64))
+    points.put(flat, np.frombuffer(values))
+    return Dataset(points, _map_labels(np.frombuffer(labels)))
+
+
+def _raise_first_fault(line_no: int, feats: list[str]) -> None:
+    """Raise the ParseError for the first faulty token of a record that failed
+    a check of `parse_libsvm_records`, checking each token in turn."""
+    prev = 0
+    for tok in feats:
+        idx_s, colon, val_s = tok.partition(":")
+        if not colon:
+            raise ParseError(line_no, f"expected index:value, got {tok!r}")
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise ParseError(line_no, f"bad feature token {tok!r}") from None
+        if idx < 1:
+            raise ParseError(line_no, f"feature index {idx} is not 1-based")
+        if idx <= prev:
+            raise ParseError(line_no, f"feature index {idx} not strictly increasing")
+        if not math.isfinite(val):
+            raise ParseError(line_no, f"non-finite value in {tok!r}")
+        prev = idx
 
 
 def dense_expm(mat: np.ndarray) -> np.ndarray:

@@ -287,8 +287,9 @@ def test_criterion_9_serialization_round_trip():
                 KernelSpec(base.kind, base.param, base.feature,
                            r=float(rng.uniform(0.5, 50.0)), ridge=float(rng.choice((0.0, 0.25))))
             )
-        k = int(rng.integers(1, 11))
+        k = int(rng.integers(2, 11))
         labels = np.where(rng.random(k) > 0.5, 1.0, -1.0)
+        labels[:2] = (1.0, -1.0)  # a fit keeps both classes, and load_model refuses one
         scaling = None
         if rng.integers(0, 2):
             mins = rng.normal(size=d)

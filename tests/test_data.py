@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mklmmwu import (
@@ -20,8 +20,10 @@ from mklmmwu import (
     parse_libsvm,
     split,
 )
+from mklmmwu import data as data_module
+from mklmmwu.data import BLOCK_RECORDS
 
-from reference import serialize_libsvm
+from reference import parse_libsvm_records, serialize_libsvm
 
 
 def _as_file(text: str):
@@ -106,6 +108,7 @@ class TestParse:
             ("+1 -1:2", "line 1: feature index -1 is not 1-based"),
             ("+1 2:1 2:2", "line 1: feature index 2 not strictly increasing"),
             ("+1 2:1 1:x", "line 1: bad feature token '1:x'"),
+            ("+1 \u01fe1:2", "line 1: bad feature token '\u01fe1:2'"),
             ("x 1:1", "line 1: bad label 'x'"),
             ("+1 1:1\n\n-1 1:2 1:3", "line 3: feature index 1 not strictly increasing"),
             ("nan 1:1", "line 1: bad label 'nan'"),
@@ -176,6 +179,45 @@ def test_str_and_file_sources_parse_alike(lines, final_break):
         except MklError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+# Python reads the first five and numpy's reader refuses them. Python refuses
+# the sixth, where numpy's integer reader takes U+01FE for a digit. The last
+# two convert, and a check must catch them: a label that is not finite, and
+# a width no host can allocate.
+_ODD = ("+1 1_0:1", "-1 1:1_5", "+1 \uff11:1", "-1 \u0661:2", f"+1 2:1 {2**63}:1", "-1 \u01fe1:2",
+        "inf 2:1", "-1 99999999999:1")
+_mixed = st.one_of(_records, st.sampled_from(("+1", "-1", "2") + _ODD))
+
+
+def _outcome(parse, source, n_features):
+    try:
+        ds = parse(source, n_features)
+    except MklError as exc:
+        return type(exc), str(exc)
+    return ds.points.shape, ds.points.tobytes(), ds.labels.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@example([("-1 \u01fe1:2", "\n")], 1, BLOCK_RECORDS, None)
+@example([("inf 2:1", "\n")], BLOCK_RECORDS, 2, None)
+@example([("-1 99999999999:1", "\n")], 1, BLOCK_RECORDS, None)
+@given(st.lists(st.tuples(_mixed, st.sampled_from(_LINE_BREAKS)), max_size=12),
+       st.sampled_from((0, 1, BLOCK_RECORDS - 1, BLOCK_RECORDS, 2 * BLOCK_RECORDS - 1)),
+       st.sampled_from((1, 2, 5, BLOCK_RECORDS)), st.sampled_from((None, 5)))
+def test_blocks_parse_as_the_record_reference(lines, lead, block, n_features):
+    # clean records first, so the drawn ones land at every place in a block,
+    # after clean blocks; a block of label-only records must not warn
+    text = "".join(("+1 1:0.5 4:2\n", "-1\n")[i % 2] for i in range(lead))
+    text += "".join(record + brk for record, brk in lines)
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(data_module, "BLOCK_RECORDS", block)
+        for parse in (parse_libsvm, parse_libsvm_records):
+            for source in (text, _as_file(text)):
+                outcomes.append(_outcome(parse, source, n_features))
+    assert outcomes == [outcomes[-1]] * 4
 
 
 def test_parse_peak_memory_is_a_few_dense_arrays(tmp_path):

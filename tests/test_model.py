@@ -478,6 +478,26 @@ class TestClosedFormGaussians:
         want, scale = explicit_sums(specs, points, a, b, queries)
         assert (np.abs(sums(queries) - want) <= 1e-12 * scale).all()
 
+    def test_moments_are_built_to_the_terms_of_the_call(self, monkeypatch):
+        # queries near the midpoint of the points' range need few terms, and
+        # the moments stop there, not at SERIES_TERMS
+        shapes = []
+        real = kernels_module._gaussian_moments
+
+        def spy(*args):
+            moments = real(*args)
+            shapes.append(moments.shape)
+            return moments
+
+        monkeypatch.setattr(kernels_module, "_gaussian_moments", spy)
+        rng = np.random.default_rng(42)
+        points = rng.random((8, 2))
+        specs = [KernelSpec("gaussian", bw, f) for f in range(2) for bw in GAUSSIAN_BANDWIDTHS]
+        queries = (points.min(axis=0) + points.max(axis=0)) / 2.0 + rng.uniform(-0.01, 0.01, (3, 2))
+        lay = KernelSums(specs, points, rng.random(len(specs)), rng.standard_normal(8)).layout(queries)
+        J = lay.series.shape[2] - 1
+        assert shapes == [(len(specs), J + 1)] and J < SERIES_TERMS
+
     def test_series_terms_are_the_fewest_that_meet_the_bound(self):
         def bound(t, J):
             return math.exp(2.0 * t) * t ** (J + 1) / math.factorial(J + 1)
@@ -749,6 +769,11 @@ class TestMalformedKernelLines:
     def test_kernel_record_field_count(self, edit):
         with pytest.raises(MalformedModel, match="5 fields"):
             load_model(self._corrupt_first("gaussian ", lambda line: " ".join(edit(line.split()))))
+
+    def test_one_label_support(self):
+        # every step of a fit takes a point of each class, so no fit writes this
+        with pytest.raises(MalformedModel, match=r"every support label is \+1"):
+            load_model(V3_GOLDEN.replace("sv -1 ", "sv +1 "))
 
     def test_empty_support(self):
         # every fit has support points; without them every query gets sign(bias)
