@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, apply_scaling, fit_scaling, parse_libsvm, split
 from .errors import MklError, NumericalFailure
-from .kernels import make_default_family, share_cpus
+from .kernels import make_default_family
 from .model import MklModel, error_rate, fit, load_model, save_model
 from .solver import SolverConfig, iteration_budget
 
@@ -197,8 +197,7 @@ def run_protocol(data: Dataset, eps_grid, c_grid, margin="l2", folds=5, repeats=
                               per_feature_kernels=per_feature, train_fraction=train_fraction, max_iters=max_iters)
     payloads = [(data, seed + 7919 * r, opts) for r in range(repeats)]
     if jobs > 1 and repeats > 1:
-        # each worker predicts on its share of the CPUs, not on all of them
-        with ProcessPoolExecutor(max_workers=jobs, initializer=share_cpus, initargs=(jobs,)) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_protocol_repeat, payloads))
     else:
         results = [_protocol_repeat(p) for p in payloads]

@@ -55,8 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -417,17 +415,15 @@ class GramAccessor:
         return calls
 
 
-#: Bytes of scratch one `KernelSums` thread allocates for a chunk of queries:
+#: Bytes of scratch a `KernelSums` call allocates for a chunk of queries:
 #: every per-chunk array counts (the query rows, the inputs the plan reads,
 #: the slab one Gaussian or all-feature polynomial chain streams through,
 #: the series blocks and the rows contracted into the values). It fits in
-#: a core's L2 cache (2 MB on the 2-vCPU Xeon it was tuned on), and each
-#: numpy call on it is long enough that the threads spend their time with
-#: the interpreter lock released. Measured there on 5000 queries: an
-#: all-feature model with 841 support points took 53, 42 and 38 ms at 640,
-#: 1280 and 1920 KB (36 ms with the 2.6 MB of an uncounted slab); the
-#: per-feature bench model, all in closed form, 11-18 ms at each, with no
-#: size consistently faster.
+#: a core's L2 cache (2 MB on the 2-vCPU Xeon it was measured on). There,
+#: on 5000 queries, an all-feature model with 841 support points took a
+#: median of 38.2, 38.5 and 38.9 ms at 640, 1280 and 1920 KB, and the
+#: per-feature bench model, all in closed form, 11-18 ms at each: no size
+#: is consistently faster.
 SLAB_BYTES = 1920 * 1024
 
 #: Most Taylor terms a closed-form Gaussian takes: at t = 1 the truncation
@@ -447,23 +443,6 @@ def series_terms(t: float) -> int:
     while math.exp(2.0 * t) * t ** (J + 1) / math.factorial(J + 1) > 2.0**-53:
         J += 1
     return J
-
-
-def _cpus() -> int:
-    """The CPUs in the process's affinity mask, where the platform has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-#: Most threads one `KernelSums` call may run on; None for one per CPU.
-_thread_cap: int | None = None
-
-
-def share_cpus(processes: int) -> None:
-    """Cap this process's prediction threads at max(1, C // processes), C
-    being its CPUs, so that `processes` processes predicting at once do not
-    oversubscribe them. Called once in each worker of a process pool."""
-    global _thread_cap
-    _thread_cap = max(1, _cpus() // processes)
 
 
 class Layout(NamedTuple):
@@ -501,8 +480,8 @@ class KernelSums:
 
     The other kernels, per-feature Gaussians beyond the bound and
     all-feature kernels, are streamed: the queries are cut into chunks of
-    `batch` consecutive rows, sized so that a thread's scratch for a chunk
-    fits in SLAB_BYTES. For each chunk the executor builds the inputs the
+    `batch` consecutive rows, sized so that the scratch for a chunk fits in
+    SLAB_BYTES. For each chunk the executor builds the inputs the
     plan reads, then walks the plan chain by chain through one slab: a
     chain's root writes the slab from the inputs, each rung rewrites it in
     place, and after every step the slab is contracted with b into that
@@ -510,12 +489,8 @@ class KernelSums:
     polynomial blocks. The chunk's sums are weights @ P, so no (m, k) block
     per query and no (m k) weight array are formed.
 
-    Chunks run on up to one thread per CPU the process may use (or fewer,
-    after `share_cpus`), the calling thread among them, at least two chunks
-    a thread, and inline when that leaves fewer than two threads or there
-    is nothing to stream. Each thread builds its own scratch once per call.
-    The chunk boundaries do not depend on the thread count, so neither do
-    the sums, to the bit. The threads are joined before a call returns.
+    Chunks run in order on the calling thread, through one scratch built
+    once per call.
     """
 
     def __init__(self, specs, points: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -592,32 +567,19 @@ class KernelSums:
             return vals
         lay = self.layout(Q)
         batch = min(lay.batch, len(Q))
-        starts = range(0, len(Q), batch)
-        threads = min(_thread_cap or _cpus(), len(starts) // 2) if lay.plan else 1
-
-        def work(first: int, step: int) -> None:
-            q, out, calls, _ = self._scratch(lay, batch)
-            for s in starts[first::step]:
-                n = min(batch, len(Q) - s)  # the last chunk runs in full on stale rows
-                q[:n] = Q[s : s + n]
-                for f, args in calls:
-                    f(*args)
-                vals[s : s + n] = out[:n]
-
-        if threads < 2:
-            work(0, 1)
-        else:  # the calling thread takes one share: one thread and its scratch fewer to start
-            with ThreadPoolExecutor(threads - 1) as pool:
-                running = [pool.submit(work, t, threads) for t in range(1, threads)]
-                work(0, threads)
-                for done in running:
-                    done.result()
+        q, out, calls, _ = self._scratch(lay, batch)
+        for s in range(0, len(Q), batch):
+            n = min(batch, len(Q) - s)  # the last chunk runs in full on stale rows
+            q[:n] = Q[s : s + n]
+            for f, args in calls:
+                f(*args)
+            vals[s : s + n] = out[:n]
         return vals
 
     def _scratch(self, lay: Layout, batch: int):
-        """One thread's scratch for a chunk of `batch` queries: the query
-        buffer, the output buffer, the calls that fill one from the other
-        and the bytes of every array they use."""
+        """The scratch for a chunk of `batch` queries: the query buffer, the
+        output buffer, the calls that fill one from the other and the bytes
+        of every array they use."""
         arrays = []
 
         def new(*shape):

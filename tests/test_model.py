@@ -2,8 +2,6 @@ import dataclasses
 import functools
 import io
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -254,24 +252,11 @@ def _mixed_model():
     return model, rng
 
 
-class _PoolSpy(kernels_module.ThreadPoolExecutor):
-    """Records the size of every thread pool prediction starts."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        _PoolSpy.sizes.append(max_workers)
-        super().__init__(max_workers)
-
-
 @pytest.fixture
 def small_batches(monkeypatch):
     """The mixed model with narrow Gaussians, which all stream, and scratch
-    of 5000 bytes: its chunks hold 5 queries, and the thread pools
-    prediction starts are recorded in `_PoolSpy.sizes`."""
+    of 5000 bytes: its chunks hold 5 queries."""
     monkeypatch.setattr(kernels_module, "SLAB_BYTES", 5000)
-    monkeypatch.setattr(kernels_module, "ThreadPoolExecutor", _PoolSpy)
-    monkeypatch.setattr(_PoolSpy, "sizes", [])
     model, rng = _mixed_model()
     model = dataclasses.replace(model, specs=_narrow(model.specs))
     keep = model.mu > 0.0
@@ -281,13 +266,9 @@ def small_batches(monkeypatch):
     return model, rng, lay.batch
 
 
-def _with_cores(monkeypatch, cores):
-    monkeypatch.setattr(kernels_module.os, "sched_getaffinity", lambda pid: set(range(cores)))
-
-
 class TestBatchedPrediction:
-    """KernelSums cuts the queries into chunks that do not depend on the
-    core count, and streams each chunk through the plan chain by chain."""
+    """KernelSums cuts the queries into chunks and streams each chunk
+    through the plan chain by chain."""
 
     @pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
                              ids=["1", "B-1", "B", "B+1", "2B+3"])
@@ -322,43 +303,10 @@ class TestBatchedPrediction:
         assert [(op.gaussian, op.src is None) for op in gathered] == [(True, True), (True, False)]
         assert np.allclose(decision_values(model, queries), _explicit(model, queries), rtol=1e-12, atol=1e-14)
 
-    def test_empty_queries_start_no_thread(self, small_batches, monkeypatch):
+    def test_empty_queries_give_no_values(self, small_batches):
         model, _, _ = small_batches
-        _with_cores(monkeypatch, 4)
-        before = threading.active_count()
         got = decision_values(model, np.empty((0, 3)))
         assert got.shape == (0,)
-        assert _PoolSpy.sizes == [] and threading.active_count() == before
-
-    def test_core_count_does_not_change_a_bit(self, small_batches, monkeypatch):
-        model, rng, batch = small_batches
-        queries = rng.random((8 * batch + 3, 3))
-        _with_cores(monkeypatch, 1)
-        one = decision_values(model, queries)
-        assert _PoolSpy.sizes == []
-        _with_cores(monkeypatch, 4)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # more threads than this machine may have cores, switching often
-        try:
-            four = decision_values(model, queries)
-        finally:
-            sys.setswitchinterval(interval)
-        assert _PoolSpy.sizes == [3] and threading.active_count() == before  # 3 joined, and the caller
-        assert one.tobytes() == four.tobytes()
-
-    def test_shared_cpus_cap_the_threads(self, small_batches, monkeypatch):
-        # one of two pool workers on two CPUs predicts on one thread
-        model, rng, batch = small_batches
-        queries = rng.random((4 * batch, 3))
-        _with_cores(monkeypatch, 2)
-        uncapped = decision_values(model, queries)
-        assert _PoolSpy.sizes == [1]
-        monkeypatch.setattr(kernels_module, "_thread_cap", None)
-        kernels_module.share_cpus(2)
-        capped = decision_values(model, queries)
-        assert _PoolSpy.sizes == [1]
-        assert capped.tobytes() == uncapped.tobytes()
 
     def test_all_feature_scratch_fits_the_budget(self):
         # 841 support points, as the hard-margin bench fit keeps: the x.z,
@@ -406,12 +354,9 @@ class TestClosedFormPolynomials:
         want, scale = explicit_sums(specs, points, a, b, queries)
         assert (np.abs(KernelSums(specs, points, a, b)(queries) - want) <= 1e-12 * scale).all()
 
-    def test_polynomials_alone_start_no_thread(self, monkeypatch):
-        # nothing to stream: the chunks run inline, however many there are
+    def test_polynomials_alone_stream_nothing(self, monkeypatch):
+        # nothing to stream, over several chunks
         monkeypatch.setattr(kernels_module, "SLAB_BYTES", 720)
-        monkeypatch.setattr(kernels_module, "ThreadPoolExecutor", _PoolSpy)
-        monkeypatch.setattr(_PoolSpy, "sizes", [])
-        _with_cores(monkeypatch, 4)
         rng = np.random.default_rng(38)
         ds = make_random_dataset(9, 3, 39)
         specs = bind([KernelSpec("poly", float(p), f) for f in (0, 2) for p in (1, 3)], ds).specs
@@ -421,9 +366,7 @@ class TestClosedFormPolynomials:
         lay = KernelSums(specs, ds.points, model.mu, model.support_coefs).layout(np.zeros((1, 3)))
         assert lay.plan == [] and lay.batch == 12  # 3 query, 1 value and 3 polynomial floats a query
         queries = rng.uniform(-0.2, 1.2, (4 * lay.batch + 1, 3))
-        before = threading.active_count()
         got = decision_values(model, queries)
-        assert _PoolSpy.sizes == [] and threading.active_count() == before
         assert np.allclose(got, _explicit(model, queries), rtol=1e-12, atol=1e-14)
 
 
@@ -508,13 +451,10 @@ class TestClosedFormGaussians:
             assert J == 1 or bound(t, J - 1) > 2.0**-53
         assert series_terms(1.0) == SERIES_TERMS == 18
 
-    def test_per_feature_model_within_the_bound_starts_no_thread(self, monkeypatch):
+    def test_per_feature_model_within_the_bound_streams_nothing(self, monkeypatch):
         # the default per-feature family on [0,1] points: every kernel in
-        # closed form, an empty plan, and the chunks run inline
+        # closed form and an empty plan, over several chunks
         monkeypatch.setattr(kernels_module, "SLAB_BYTES", 4000)
-        monkeypatch.setattr(kernels_module, "ThreadPoolExecutor", _PoolSpy)
-        monkeypatch.setattr(_PoolSpy, "sizes", [])
-        _with_cores(monkeypatch, 4)
         rng = np.random.default_rng(40)
         ds = make_random_dataset(9, 3, 41)
         specs = bind(make_default_family(3, per_feature=True), ds).specs
@@ -524,9 +464,7 @@ class TestClosedFormGaussians:
         queries = rng.uniform(-0.2, 1.2, (30, 3))
         lay = KernelSums(specs, ds.points, model.mu, model.support_coefs).layout(queries)
         assert lay.plan == [] and len(lay.closed) == 27 and len(queries) >= 4 * lay.batch
-        before = threading.active_count()
         got = decision_values(model, queries)
-        assert _PoolSpy.sizes == [] and threading.active_count() == before
         assert np.allclose(got, _explicit(model, queries), rtol=1e-12, atol=1e-14)
 
 
