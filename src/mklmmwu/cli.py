@@ -31,10 +31,10 @@ DEFAULT_EPS = 0.2
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
 
 
-def _load_dataset(path, n_features=None) -> Dataset:
+def _load_dataset(path, n_features=None, labels=None) -> Dataset:
     # utf-8-sig reads UTF-8 and drops a leading byte-order mark
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_libsvm(fh, n_features=n_features)
+        return parse_libsvm(fh, n_features=n_features, labels=labels)
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int):
@@ -130,7 +130,7 @@ def _append_csv(path, record: dict) -> None:
 def cmd_train(args) -> int:
     data = _load_dataset(args.data)
     if args.test:
-        train_ds, test_ds = data, _load_dataset(args.test, n_features=data.d)
+        train_ds, test_ds = data, _load_dataset(args.test, n_features=data.d, labels=data.label_pair)
     else:
         train_ds, test_ds = split(data, args.train_fraction, args.seed)
     model, wall = _scaled_fit(train_ds, args, args.eps, args.C, trace=sys.stderr if args.verbose else None)
@@ -145,7 +145,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = load_model(fh)
-    data = _load_dataset(args.data, n_features=model.d)
+    data = _load_dataset(args.data, n_features=model.d, labels=model.label_pair)
     _report(args, data.n, model, test_error=_error(model, data))
     return EXIT_OK
 

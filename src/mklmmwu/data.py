@@ -7,7 +7,6 @@ new one. `#` starts a comment that runs to end of line; files are UTF-8.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -23,6 +22,7 @@ class Dataset:
 
     points: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) float64, entries -1.0 or +1.0
+    label_pair: tuple[float, float] = (-1.0, 1.0)  # the raw labels read as -1 and +1, one of _LABEL_PAIRS
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -35,6 +35,8 @@ class Dataset:
             raise ValueError("points must be finite")
         if not np.isin(lab, (-1.0, 1.0)).all():
             raise ValueError("labels must be -1 or +1")
+        if self.label_pair not in _LABEL_PAIRS:
+            raise ValueError(f"label pair {self.label_pair} is not one of {_LABEL_PAIRS}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", lab)
 
@@ -51,7 +53,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.points[idx].copy(), self.labels[idx].copy())
+        return Dataset(self.points[idx].copy(), self.labels[idx].copy(), self.label_pair)
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,13 @@ class ScalingParams:
 _LABEL_PAIRS = ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
 
 
-def _map_labels(raw: np.ndarray) -> np.ndarray:
+def _map_labels(raw: np.ndarray, pair: tuple[float, float] | None = None) -> tuple[np.ndarray, tuple[float, float]]:
+    """Raw labels as -1/+1 and their pair: `pair`, or the first that holds them."""
     seen = set(raw.tolist())
-    for low, high in _LABEL_PAIRS:
-        if seen <= {low, high}:
-            return np.where(raw == high, 1.0, -1.0)
-    raise NonBinaryLabels(f"label set {sorted(seen)} is not a supported binary encoding")
+    pair = pair or next((p for p in _LABEL_PAIRS if seen <= set(p)), None)
+    if pair is None:
+        raise NonBinaryLabels(f"label set {sorted(seen)} is not a supported binary encoding")
+    return np.where(raw == pair[1], 1.0, -1.0), pair
 
 
 #: Records `parse_libsvm` converts at once: one `np.loadtxt` call takes all
@@ -102,13 +105,15 @@ BLOCK_RECORDS = 64
 _TOKEN = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
-def parse_libsvm(source, n_features: int | None = None) -> Dataset:
+def parse_libsvm(source, n_features: int | None = None, labels: tuple[float, float] | None = None) -> Dataset:
     """Parse LibSVM text into a dense, unscaled Dataset.
 
     `source` is a string or a text file object. Each record reads
     `<label> <index>:<value> ...` with a finite label and strictly increasing
     1-based indices; absent indices are zero. The width is the largest index
     seen, or `n_features` when given (it must cover every index in the file).
+    With `labels`, a (low, high) pair of `_LABEL_PAIRS`, any other label is a
+    ParseError at its line; without, the first pair holding all labels decodes.
 
     The source is read one line at a time, with the line breaks of
     `str.splitlines`, and each record's label is split off at the first
@@ -116,29 +121,30 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     text reader converts the index and value of every feature token of a
     block in one `np.loadtxt` call, which splits the records on whitespace
     as it reads them, and the block is checked with array operations (labels
-    and values finite, indices 1-based and strictly increasing within each
-    record, none past `n_features`). A block that the reader refuses, holds
-    a non-ASCII character, or fails a check is read again record by record
-    by `_Buffers.add_record`, which alone decides what is accepted and every
-    error message, so the first faulty record in the file raises. Labels,
-    counts, indices and values collect in typed buffers, and one flat-index
-    assignment fills the dense array; a width too large to allocate raises
-    ParseError at the first line that uses the largest index.
+    finite and in `labels`, values finite, indices 1-based and strictly
+    increasing within each record, none past `n_features`). A block that the
+    reader refuses, holds a non-ASCII character, or fails a check is read
+    again record by record by `_Buffers.add_record`, which alone decides
+    what is accepted and every error message, so the first faulty record in
+    the file raises. Labels, counts, indices and values collect in typed
+    buffers, and one flat-index assignment fills the dense array; a width
+    too large to allocate raises ParseError at the first line that uses the
+    largest index.
     """
     if isinstance(source, str):
         source = _cut_lines(source)
-    into = _Buffers(n_features)
-    line_nos, labels, rests = [], [], []  # the block: line numbers, label tokens, the text after each label
+    into = _Buffers(n_features, labels)
+    line_nos, label_toks, rests = [], [], []  # the block: line numbers, label tokens, the text after each label
     for line_no, raw_line in enumerate(chain.from_iterable(map(str.splitlines, source)), start=1):
         record = raw_line.partition("#")[0].split(None, 1)
         if record:
             line_nos.append(line_no)
-            labels.append(record[0])
+            label_toks.append(record[0])
             rests.append(record[1] if len(record) > 1 else "")
             if len(rests) == BLOCK_RECORDS:
-                into.add_block(line_nos, labels, rests)
-                line_nos, labels, rests = [], [], []
-    into.add_block(line_nos, labels, rests)
+                into.add_block(line_nos, label_toks, rests)
+                line_nos, label_toks, rests = [], [], []
+    into.add_block(line_nos, label_toks, rests)
     if not into.labels:
         raise EmptyDataset("no data records found")
     n, top = len(into.labels), into.top
@@ -151,7 +157,7 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     flat = np.frombuffer(into.indices, dtype=np.int64)
     flat += np.repeat(np.arange(-1, n * d - 1, d, dtype=np.int64), np.frombuffer(into.counts, dtype=np.int64))
     points.put(flat, np.frombuffer(into.values))
-    return Dataset(points, _map_labels(np.frombuffer(into.labels)))
+    return Dataset(points, *_map_labels(np.frombuffer(into.labels), labels))
 
 
 def _cut_lines(text: str):
@@ -169,9 +175,11 @@ class _Buffers:
     and values in typed buffers, and the largest index with the first line
     that uses it. An index past `n_features`, when given, is refused."""
 
-    def __init__(self, n_features: int | None):
+    def __init__(self, n_features: int | None, labels: tuple[float, float] | None):
         self.n_features = n_features
         self.limit = math.inf if n_features is None else n_features
+        self.pair = labels
+        self.label_ok = math.isfinite if labels is None else labels.__contains__
         self.labels = array("d")
         self.counts = array("q")
         self.indices = array("q")
@@ -208,7 +216,7 @@ class _Buffers:
         prev = np.empty_like(idx)  # the index before each one in its record, 0 before a first
         prev[1:] = idx[:-1]
         prev[(ends - counts)[counts > 0]] = 0
-        if not (all(map(math.isfinite, lab)) and (idx > prev).all() and np.isfinite(vals).all()):
+        if not (all(map(self.label_ok, lab)) and (idx > prev).all() and np.isfinite(vals).all()):
             return False
         if idx.size:
             last = int(idx.max())
@@ -224,25 +232,36 @@ class _Buffers:
         return True
 
     def add_record(self, line_no: int, label_s: str, feats: list[str]) -> None:
-        """Add one record, converting its tokens with C-level maps and
-        checking them in one pass; the first fault of a record that fails is
-        found token by token, so the fast checks never decide a message."""
+        """Add one record, checking its label and then each token in turn
+        (colon, conversion, 1-based, strictly increasing, finite), so its
+        first fault raises."""
         try:
             label = float(label_s)
         except ValueError:
             label = math.nan
         if not math.isfinite(label):
             raise ParseError(line_no, f"bad label {label_s!r}")
-        if feats:
-            idx_s, _, val_s = zip(*map(str.partition, feats, repeat(":")))
+        if not self.label_ok(label):
+            raise ParseError(line_no, f"label {label_s!r} is outside the label pair {self.pair[0]:g} {self.pair[1]:g}")
+        idx, vals = [], []
+        for tok in feats:
+            idx_s, colon, val_s = tok.partition(":")
+            if not colon:
+                raise ParseError(line_no, f"expected index:value, got {tok!r}")
             try:
-                idx = list(map(int, idx_s))
-                vals = list(map(float, val_s))
-                ok = all(map(operator.lt, [0, *idx], idx)) and all(map(math.isfinite, vals))
+                index = int(idx_s)
+                val = float(val_s)
             except ValueError:
-                ok = False
-            if not ok:
-                _raise_first_fault(line_no, feats)
+                raise ParseError(line_no, f"bad feature token {tok!r}") from None
+            if index < 1:
+                raise ParseError(line_no, f"feature index {index} is not 1-based")
+            if idx and index <= idx[-1]:
+                raise ParseError(line_no, f"feature index {index} not strictly increasing")
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"non-finite value in {tok!r}")
+            idx.append(index)
+            vals.append(val)
+        if feats:
             if idx[-1] > self.limit:
                 raise ParseError(line_no, f"file uses index {idx[-1]} > n_features={self.n_features}")
             if idx[-1] > self.top:
@@ -252,28 +271,6 @@ class _Buffers:
                 self.values.fromlist(vals)
         self.labels.append(label)
         self.counts.append(len(feats))
-
-
-def _raise_first_fault(line_no: int, feats: list[str]) -> None:
-    """Raise the ParseError for the first faulty token of a record that failed
-    a check of `parse_libsvm`, checking each token in turn."""
-    prev = 0
-    for tok in feats:
-        idx_s, colon, val_s = tok.partition(":")
-        if not colon:
-            raise ParseError(line_no, f"expected index:value, got {tok!r}")
-        try:
-            idx = int(idx_s)
-            val = float(val_s)
-        except ValueError:
-            raise ParseError(line_no, f"bad feature token {tok!r}") from None
-        if idx < 1:
-            raise ParseError(line_no, f"feature index {idx} is not 1-based")
-        if idx <= prev:
-            raise ParseError(line_no, f"feature index {idx} not strictly increasing")
-        if not math.isfinite(val):
-            raise ParseError(line_no, f"non-finite value in {tok!r}")
-        prev = idx
 
 
 def fit_scaling(dataset: Dataset) -> ScalingParams:
@@ -295,7 +292,7 @@ def apply_scaling(dataset: Dataset, params: ScalingParams) -> Dataset:
         scaled = (dataset.points - params.mins) / safe
     scaled[:, span == 0.0] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return Dataset(scaled, dataset.labels.copy())
+    return Dataset(scaled, dataset.labels.copy(), dataset.label_pair)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, ScalingParams
+from .data import _LABEL_PAIRS, Dataset, ScalingParams
 from .errors import DegenerateModel, MalformedModel
 from .kernels import KernelSpec, KernelSums
 from .solver import MIN_QUADFORM, SolverConfig, SolverState, train
 
-_HEADER = "mklmmwu v3"
+_HEADER = "mklmmwu v4"
 
 
 @dataclass
@@ -40,6 +40,7 @@ class MklModel:
     bias: float
     config: SolverConfig
     scaling: ScalingParams | None = None
+    label_pair: tuple[float, float] = (-1.0, 1.0)  # the training file's raw labels; query files decode with them
 
     @property
     def d(self) -> int:
@@ -99,6 +100,7 @@ def model_from_state(state: SolverState, scaling: ScalingParams | None = None) -
         bias=bias,
         config=state.config,
         scaling=scaling,
+        label_pair=state.accessor.dataset.label_pair,
     )
 
 
@@ -154,7 +156,7 @@ def save_model(model: MklModel, sink) -> None:
     if model.config.margin == "l2":
         w(f"C {_fmt(model.config.C)}\n")
     w(f"eps {_fmt(model.config.eps)}\n")
-    w(f"rho {_fmt(model.config.rho)}\n")
+    w(f"labels {_fmt(model.label_pair[0])} {_fmt(model.label_pair[1])}\n")
     w(f"dim {model.d}\n")
     if model.scaling is not None:
         w("scale_min " + " ".join(_fmt(v) for v in model.scaling.mins) + "\n")
@@ -239,7 +241,9 @@ def load_model(source) -> MklModel:
         raise MalformedModel(f"unknown margin mode {margin!r}")
     C = _floats(rd.next("C")[1:], 1, "C")[0] if margin == "l2" else None
     eps = _floats(rd.next("eps")[1:], 1, "eps")[0]
-    rho = _floats(rd.next("rho")[1:], 1, "rho")[0]
+    label_pair = tuple(_floats(rd.next("labels")[1:], 2, "labels"))
+    if label_pair not in _LABEL_PAIRS:
+        raise MalformedModel(f"unsupported label pair {label_pair}")
     try:
         dim = int(rd.next("dim")[1])
     except (IndexError, ValueError):
@@ -262,7 +266,7 @@ def load_model(source) -> MklModel:
         raise MalformedModel(f"n_support must be positive, found {n_support}")
     bias = _finite(_floats(rd.next("bias")[1:], 1, "bias"), "bias")[0]
     try:
-        config = SolverConfig(eps=eps, rho=rho, margin=margin, C=C)
+        config = SolverConfig(eps=eps, margin=margin, C=C)
     except ValueError as exc:
         raise MalformedModel(str(exc)) from None
 
@@ -308,4 +312,5 @@ def load_model(source) -> MklModel:
         bias=bias,
         config=config,
         scaling=scaling,
+        label_pair=label_pair,
     )

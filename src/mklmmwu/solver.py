@@ -42,26 +42,23 @@ MIN_QUADFORM = 1e-12
 class SolverConfig:
     """Training knobs.
 
-    eps is the target approximation error; rho the spectral width bound,
-    3/2 for trace-normalized kernels. Margin is "hard" or "l2" (2-norm soft
-    margin with parameter C, realized as ridge = 1/C on each kernel); a hard
-    margin takes no C.
+    eps is the target approximation error. Margin is "hard" or "l2" (2-norm
+    soft margin with parameter C, realized as ridge = 1/C on each kernel); a
+    hard margin takes no C. rho is the constant 3/2, the width bound proven
+    for trace-normalized kernels: the (1 + eps) guarantee needs a proven one.
     """
 
     eps: float
-    rho: float = 1.5
     margin: str = "hard"
     C: float | None = None
     max_iters_override: int | None = None
 
-    # exponentiate_m's overflow guard; unannotated, so a constant, not a field
-    quash_threshold = 20.0
+    rho = 1.5  # the spectral width bound; unannotated, so a constant, not a field
+    quash_threshold = 20.0  # exponentiate_m's overflow guard; a constant too
 
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
         if self.eps >= 2.0 * self.rho:
             raise ValueError("eps must be smaller than 2*rho")
         if self.margin not in ("hard", "l2"):

@@ -178,7 +178,7 @@ def parse_libsvm_records(source, n_features: int | None = None) -> Dataset:
     flat = np.frombuffer(indices, dtype=np.int64)
     flat += np.repeat(np.arange(-1, n * d - 1, d, dtype=np.int64), np.frombuffer(counts, dtype=np.int64))
     points.put(flat, np.frombuffer(values))
-    return Dataset(points, _map_labels(np.frombuffer(labels)))
+    return Dataset(points, *_map_labels(np.frombuffer(labels)))
 
 
 def _raise_first_fault(line_no: int, feats: list[str]) -> None:

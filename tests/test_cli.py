@@ -115,6 +115,21 @@ class TestTrain:
             del reports[-1]["wall_seconds"]
         assert reports[0] == reports[1]
 
+    def test_split_model_keeps_the_file_label_pair(self, tmp_path, capsys):
+        # the train side of the split writes the file's pair, and eval reads
+        # a file of only `1` records as -1 with it
+        ds = make_blobs(40, 0)
+        data = tmp_path / "one_two.svm"
+        data.write_text(serialize_libsvm(ds).replace("+1 ", "2 ").replace("-1 ", "1 "), encoding="utf-8")
+        model_path = tmp_path / "m.mkl"
+        assert main(["train", "--data", str(data), "--out", str(model_path), "--max-iters", "40"]) == 0
+        assert "labels 1 2" in model_path.read_text().splitlines()
+        ones = tmp_path / "ones.svm"
+        ones.write_text("".join(line + "\n" for line in data.read_text().splitlines() if line.startswith("1 ")))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--data", str(ones)]) == 0
+        assert _report(capsys)["test_error"] == "0.000000"
+
     def test_max_iters_reflected_in_report(self, tmp_path, capsys):
         data = tmp_path / "d.svm"
         _write_blobs(data)
@@ -225,6 +240,31 @@ class TestEval:
         wide = tmp_path / "wide.svm"
         wide.write_text("+1 1:0.5 7:0.25\n-1 2:0.5\n")
         assert main(["eval", "--model", str(model_path), "--data", str(wide)]) == 3
+
+    def test_labels_outside_the_model_pair_exit_3(self, tmp_path, capsys):
+        # a {0,1} file against a {-1,+1} model: 0 is no label of the model
+        data = tmp_path / "d.svm"
+        _write_blobs(data)
+        model_path = tmp_path / "m.mkl"
+        main(["train", "--data", str(data), "--out", str(model_path), "--max-iters", "40"])
+        capsys.readouterr()
+        zero_one = tmp_path / "zero_one.svm"
+        zero_one.write_text("1 1:0.5 2:0.5\n0 1:0.25\n")
+        assert main(["eval", "--model", str(model_path), "--data", str(zero_one)]) == 3
+        assert "line 2: label '0' is outside the label pair -1 1" in capsys.readouterr().err
+
+    def test_v3_model_file_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.svm"
+        _write_blobs(data)
+        model_path = tmp_path / "m.mkl"
+        main(["train", "--data", str(data), "--out", str(model_path), "--max-iters", "40"])
+        lines = model_path.read_text().splitlines()
+        assert lines[0] == "mklmmwu v4" and lines[4] == "labels -1 1"
+        lines[0], lines[4] = "mklmmwu v3", "rho 1.5"  # the v3 layout of the same fit
+        model_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--data", str(data)]) == 3
+        assert "unsupported model header 'mklmmwu v3'" in capsys.readouterr().err
 
 
 class TestCv:
@@ -372,7 +412,7 @@ FAMILIES = st.sampled_from([(), ("--per-feature-kernels",)])
 
 
 @st.composite
-def _problems(draw, encodings=tuple(ENCODINGS)):
+def _problems(draw):
     """A tiny train and test set: (points, labels) each, labels +-1 with
     both classes in training, some zero (omitted) coordinates, and the raw
     label encoding of both files."""
@@ -385,7 +425,7 @@ def _problems(draw, encodings=tuple(ENCODINGS)):
         labels = rng.choice([-1.0, 1.0], n)
         sets.append((points, labels))
     sets[0][1][:2] = (-1.0, 1.0)
-    return sets[0], sets[1], ENCODINGS[draw(st.sampled_from(encodings))]
+    return sets[0], sets[1], ENCODINGS[draw(st.sampled_from(tuple(ENCODINGS)))]
 
 
 def _lines(points, labels, encoding):
@@ -435,7 +475,7 @@ def _subsets_keep_their_predictions(directory, test_lines, subsets):
     with open(model_path, encoding="utf-8") as fh:
         model = load_model(fh)
     with open(whole, encoding="utf-8") as fh:
-        ds = parse_libsvm(fh, n_features=model.d)
+        ds = parse_libsvm(fh, n_features=model.d, labels=model.label_pair)
     wrong = predict(model, apply_scaling(ds, model.scaling).points) != ds.labels
     code, out = _run("eval", "--model", model_path, "--data", whole)
     assert code == 0 and _pairs(out)["test_error"] == f"{wrong.mean():.6f}"
@@ -444,6 +484,13 @@ def _subsets_keep_their_predictions(directory, test_lines, subsets):
         code, out = _run("eval", "--model", model_path, "--data", part)
         assert code == 0
         assert (_pairs(out)["n"], _pairs(out)["test_error"]) == (str(len(rows)), f"{wrong[rows].mean():.6f}")
+
+
+def _distinct_support(model):
+    """The model's distinct (label, point) support rows, sorted, and the sum
+    of the coefficients of each."""
+    rows, inverse = np.unique(np.c_[model.support_labels, model.support_points], axis=0, return_inverse=True)
+    return rows, np.bincount(inverse.ravel(), model.support_coefs)
 
 
 class TestMetamorphic:
@@ -514,8 +561,42 @@ class TestMetamorphic:
         assert len(plain_ranges) == 2
         assert all(np.array_equal(p * factor, q) for p, q in zip(plain_ranges, scaled_ranges))
 
+    @settings(max_examples=30, deadline=None)
+    @given(problem=_problems(), family=FAMILIES, feature=st.integers(0, 2),
+           a=st.sampled_from([3.0, 0.1, 10.0, 1.0 / 3.0]), b=st.sampled_from([-2.0, 0.5, 7.0]))
+    def test_positive_affine_feature_map_keeps_the_fit(self, problem, family, feature, a, b):
+        # (a x + b - (a lo + b)) / (a hi + b - (a lo + b)) rounds near
+        # (x - lo) / (hi - lo), not always to it, so the fit may move by
+        # rounding only: the same report, kernels and support set, and mu.
+        # Duplicate points (zeroed coordinates) tie in every column, and a
+        # rounding may split their picks differently, so the support set is
+        # compared as distinct points with their summed coefficients.
+        train, test, encoding = problem
+        feature %= train[0].shape[1]
+
+        def mapped(points):
+            out = points.copy()
+            out[:, feature] = a * out[:, feature] + b
+            return out
+
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = []
+            for name, f in (("plain", np.copy), ("mapped", mapped)):
+                trained, model_text = _train(os.path.join(tmp, name), _lines(f(train[0]), train[1], encoding),
+                                             _lines(f(test[0]), test[1], encoding), *family)
+                runs.append((_without_wall(trained), load_model(model_text)))
+        (plain_out, plain), (mapped_out, moved) = runs
+        assert plain_out == mapped_out
+        assert [(s.kind, s.param, s.feature) for s in plain.specs] == \
+            [(s.kind, s.param, s.feature) for s in moved.specs]
+        (plain_points, plain_coefs), (moved_points, moved_coefs) = map(_distinct_support, (plain, moved))
+        assert plain_points.shape == moved_points.shape
+        assert np.abs(plain_points - moved_points).max() <= 1e-12
+        assert np.allclose(plain_coefs, moved_coefs, rtol=1e-12, atol=0.0)
+        assert (np.abs(plain.mu - moved.mu) <= 1e-12 * plain.mu).all()
+
     @settings(max_examples=60, deadline=None)
-    @given(problem=_problems(encodings=("-1/+1", "0/1")), family=FAMILIES, data=st.data())
+    @given(problem=_problems(), family=FAMILIES, data=st.data())
     def test_subsets_keep_their_predictions(self, problem, family, data):
         # a drawn subset, and the records of each label on their own
         train, test, encoding = problem
@@ -536,8 +617,6 @@ class TestMetamorphic:
         assert (_pairs(out)["train_error"], _pairs(out)["test_error"]) == ("0.000000", "0.000000")
         _subsets_keep_their_predictions(str(tmp_path), self.ONE_TWO_TEST, [[0, 1, 2, 3], [1, 3]])
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: each file's labels are decoded on their own, "
-                                           "so a file of only the `1` records of a {1,2} set reads them as +1")
     def test_one_two_file_subset_of_ones_keeps_its_labels(self, tmp_path):
         _train(str(tmp_path), self.ONE_TWO_TRAIN, self.ONE_TWO_TEST)
         _subsets_keep_their_predictions(str(tmp_path), self.ONE_TWO_TEST, [[0, 2]])

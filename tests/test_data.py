@@ -137,6 +137,42 @@ class TestParse:
             assert np.array_equal(ds.points, points)
             assert np.array_equal(ds.labels, [1.0, -1.0])
 
+    def test_label_pair_is_found_per_file(self):
+        for text, pair in (("+1 1:1\n-1 1:2", (-1.0, 1.0)), ("1 1:1\n0 1:2", (0.0, 1.0)),
+                           ("2 1:1\n1 1:2", (1.0, 2.0)), ("1 1:1\n1 1:2", (-1.0, 1.0))):
+            assert parse_libsvm(text).label_pair == pair
+
+    def test_given_pair_decodes_a_file_of_one_label(self):
+        # on its own, a file of `1` records reads them as +1
+        ds = parse_libsvm("1 1:0.5\n1 1:0.25", labels=(1.0, 2.0))
+        assert np.array_equal(ds.labels, [-1.0, -1.0]) and ds.label_pair == (1.0, 2.0)
+        assert parse_libsvm("1 1:0.5", labels=(0.0, 1.0)).labels.tolist() == [1.0]
+
+    def test_label_outside_the_given_pair_in_a_full_block(self):
+        # every other record of the block converts and passes, so only the
+        # label check sends the block to the record routine
+        lines = ["+1 1:0.5 2:1", "-1 2:0.25"] * (BLOCK_RECORDS // 2)
+        lines[37] = "0 1:0.5"
+        text = "\n".join(lines) + "\n"
+        assert parse_libsvm(text.replace("0 1:0.5", "1 1:0.5")).n == BLOCK_RECORDS
+        for source in (text, _as_file(text)):
+            with pytest.raises(ParseError) as exc:
+                parse_libsvm(source, labels=(-1.0, 1.0))
+            assert str(exc.value) == "line 38: label '0' is outside the label pair -1 1"
+            assert exc.value.line_no == 38
+
+    def test_label_outside_the_given_pair_in_the_record_fallback(self, monkeypatch):
+        # numpy's reader refuses line 3's `1_0`, which Python reads as 10, so
+        # the block of lines 1-3 goes to the record routine, where line 2's
+        # label raises
+        monkeypatch.setattr(data_module, "BLOCK_RECORDS", 3)
+        text = "2 1:1\n-1 2:1\n1 1_0:1\n2 1:0.5\n"
+        for source in (text, _as_file(text)):
+            with pytest.raises(ParseError, match=r"^line 2: label '-1' is outside the label pair 1 2$"):
+                parse_libsvm(source, labels=(1.0, 2.0))
+        ds = parse_libsvm(text.replace("-1 ", "1 "), labels=(1.0, 2.0))
+        assert ds.points.shape == (4, 10) and ds.labels.tolist() == [1.0, -1.0, -1.0, 1.0]
+
     def test_parse_serialize_parse_idempotent(self):
         text = "+1 1:0.5 3:1.0\n-1 2:0.25\n+1 1:0.125\n"
         first = parse_libsvm(text)
@@ -278,6 +314,16 @@ class TestDatasetInvariants:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[np.nan]]), np.array([1.0]))
+
+    def test_rejects_a_label_pair_the_parser_does_not_know(self):
+        with pytest.raises(ValueError, match="label pair"):
+            Dataset(np.zeros((2, 1)), np.array([1.0, -1.0]), (2.0, 4.0))
+
+    def test_subset_split_and_scaling_keep_the_label_pair(self):
+        ds = parse_libsvm("1 1:0\n2 1:1\n1 1:2\n2 1:3\n1 1:4\n2 1:5")
+        train, test = split(ds, 0.5, seed=0)
+        derived = (ds.subset([1]), train, test, apply_scaling(ds, fit_scaling(ds)))
+        assert [d.label_pair for d in derived] == [(1.0, 2.0)] * 4
 
 
 class TestScaling:

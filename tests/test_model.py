@@ -515,12 +515,12 @@ class TestPredictionOrder:
         assert sorted(roots) == [False, True]
 
 
-V3_GOLDEN = """\
-mklmmwu v3
+V4_GOLDEN = """\
+mklmmwu v4
 margin l2
 C 2
 eps 0.25
-rho 1.5
+labels 1 2
 dim 2
 scale_min 0 -1
 scale_max 2 3
@@ -579,7 +579,7 @@ class TestSerialization:
         loaded = load_model(serialize_model(model))
         assert [s.ridge for s in loaded.specs] == [s.ridge for s in model.specs] == [1.0 / 3.0] * len(model.specs)
 
-    def test_v3_layout(self):
+    def test_v4_layout(self):
         # a hand-made model against its literal file: any drift of the
         # format shows here
         model = MklModel(
@@ -592,9 +592,18 @@ class TestSerialization:
             bias=-0.125,
             config=SolverConfig(eps=0.25, margin="l2", C=2.0),
             scaling=ScalingParams(np.array([0.0, -1.0]), np.array([2.0, 3.0])),
+            label_pair=(1.0, 2.0),
         )
-        assert serialize_model(model) == V3_GOLDEN
-        assert serialize_model(load_model(V3_GOLDEN)) == V3_GOLDEN
+        assert serialize_model(model) == V4_GOLDEN
+        assert serialize_model(load_model(V4_GOLDEN)) == V4_GOLDEN
+        assert load_model(V4_GOLDEN).label_pair == (1.0, 2.0)
+
+    def test_label_pair_comes_from_the_training_set(self):
+        ds = make_random_dataset(15, 2, 8)
+        model = fit(Dataset(ds.points, ds.labels, (0.0, 1.0)), make_default_family(2), SolverConfig(eps=0.4))
+        lines = serialize_model(model).splitlines()
+        assert lines[3] == "labels 0 1" and not any(line.startswith("rho") for line in lines)
+        assert load_model("\n".join(lines)).label_pair == (0.0, 1.0)
 
     def test_scale_wider_than_float64_is_malformed(self):
         text = serialize_model(self._model())
@@ -628,8 +637,9 @@ class TestSerialization:
 
     def test_bad_header_rejected(self):
         text = serialize_model(self._model())
-        with pytest.raises(MalformedModel):
-            load_model(text.replace("mklmmwu v3", "mklmmwu v2", 1))
+        for header in ("mklmmwu v3", "mklmmwu v2"):
+            with pytest.raises(MalformedModel, match="unsupported model header"):
+                load_model(text.replace("mklmmwu v4", header, 1))
 
     def test_garbled_field_rejected(self):
         text = serialize_model(self._model(scaling=False))
@@ -711,7 +721,7 @@ class TestMalformedKernelLines:
     def test_one_label_support(self):
         # every step of a fit takes a point of each class, so no fit writes this
         with pytest.raises(MalformedModel, match=r"every support label is \+1"):
-            load_model(V3_GOLDEN.replace("sv -1 ", "sv +1 "))
+            load_model(V4_GOLDEN.replace("sv -1 ", "sv +1 "))
 
     def test_empty_support(self):
         # every fit has support points; without them every query gets sign(bias)
@@ -773,15 +783,20 @@ class TestMutatedModelFiles:
     """A header count or a bare key must not reach an allocation or an index."""
 
     @pytest.mark.parametrize(
-        "key, i, token",
-        [("margin", 1, ""), ("dim", 4, "99999999999"), ("n_support", 5, "99999999999")],
-        ids=["bare_margin", "huge_dim_without_scaling", "huge_n_support"],
+        "key, i, line",
+        [("margin", 1, "margin"), ("dim", 4, "dim 99999999999"), ("n_support", 5, "n_support 99999999999"),
+         ("labels", 3, None), ("labels", 3, "labels 2 4"), ("labels", 3, "labels -1 one"), ("labels", 3, "labels 1")],
+        ids=["bare_margin", "huge_dim_without_scaling", "huge_n_support",
+             "labels_missing", "labels_2_4", "labels_not_a_number", "labels_one_field"],
     )
-    def test_header_faults(self, key, i, token):
-        # the explicit examples of the property below address these lines too
-        assert _saved_lines()[i].split()[0] == key
+    def test_header_faults(self, key, i, line):
+        # line i replaced by `line`, or deleted; the explicit examples of the
+        # property below address the first three lines too
+        lines = list(_saved_lines())
+        assert lines[i].split()[0] == key
+        lines[i:i + 1] = [] if line is None else [line]
         with pytest.raises(MalformedModel):
-            load_model(_mutated(False, "token", i, 0, 1, token))
+            load_model("\n".join(lines) + "\n")
 
     @settings(max_examples=300, deadline=None)
     @given(

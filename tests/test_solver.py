@@ -33,7 +33,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(eps=-1.0)
         with pytest.raises(ValueError):
-            SolverConfig(eps=3.0, rho=1.5)  # eps must stay below 2*rho
+            SolverConfig(eps=3.0)  # eps must stay below 2*rho
         with pytest.raises(ValueError):
             SolverConfig(eps=0.2, margin="l2")  # missing C
         with pytest.raises(ValueError):
@@ -48,6 +48,13 @@ class TestConfig:
     def test_quash_threshold_is_not_a_setting(self):
         with pytest.raises(TypeError):
             SolverConfig(eps=0.2, quash_threshold=5.0)
+
+    def test_rho_is_not_a_setting(self):
+        # a smaller width would cut T by its square and void the guarantee
+        with pytest.raises(TypeError):
+            SolverConfig(eps=0.2, rho=1.0)
+        assert SolverConfig.rho == 1.5
+        assert "rho" not in repr(SolverConfig(eps=0.2))
 
     def test_eps_prime_value(self):
         cfg = SolverConfig(eps=0.2)
