@@ -96,7 +96,7 @@ def _report(args, n: int, model: MklModel, *, test_error, train_error=None, T=0,
         "dataset": os.path.basename(args.data),
         "n": n,
         "d": model.d,
-        "m": len(model.specs),
+        "m": int((model.mu > 0.0).sum()),  # the kernels the model file keeps
         "eps": f"{config.eps:g}",
         "C": "none" if config.C is None else f"{config.C:g}",
         "margin": config.margin,

@@ -13,10 +13,12 @@ same plan for the other kernels, streaming batches of query points through
 it and contracting each step's kernel values with the model's weights as it
 goes.
 
-One grouped evaluator computes the block. Specs are grouped by (kind,
-feature scope, parameter), and each group's rows are a slice of the block
-whenever they form an arithmetic progression (per-feature rung k of the
-default family is rows 3+k::12), so every step writes the block in place.
+One grouped evaluator computes the block, with the specs in the order
+given, which is the model file's. Specs are grouped by (kind, feature
+scope, parameter), and each group's rows are a slice of the block whenever
+they form an arithmetic progression (per-feature rung k of the default
+family is rows 3+k::12), so every step writes the block in place. Groups
+form chains: a root, then rungs, each of which reads the step before it.
 Gaussians use a squaring ladder: exp(-d / (2 sigma^2)) is the square of the
 Gaussian with twice the bandwidth squared, and the default bandwidths have
 sigma^2 = 2^k, so each scope of the default family takes one exp at the
@@ -162,25 +164,25 @@ class _Op:
     """One vectorized step of the block evaluator.
 
     It writes `rows` of the block; `feats` are the feature of each row (None
-    in the all-feature scope). A root Gaussian step computes exp(param * d2)
-    with `param` the coefficient -1/(2 sigma^2), doubled in the all-feature
-    scope, which reads half distances; a later rung squares the rows `src`.
-    A polynomial step starts from the base (x.z + 1) raised to the degree
-    `param`, or multiplies the rows `src` of one degree less by the base.
-    Rows, features and sources are an int for one index and a slice when
+    in the all-feature scope). A Gaussian root computes exp(param * d2) with
+    `param` the negated rate -1/(2 sigma^2), doubled in the all-feature
+    scope, which reads half distances; a polynomial root raises the base
+    (x.z + 1) to the degree `param`. A `rung` reads the step before it: a
+    Gaussian rung squares its values, a polynomial rung multiplies them by
+    the base. Rows and features are an int for one index and a slice when
     their indices form an arithmetic progression, so the step reads and
     writes the block in place, and index arrays otherwise.
     """
 
-    __slots__ = ("gaussian", "rows", "feats", "param", "src", "count")
+    __slots__ = ("gaussian", "rows", "feats", "param", "rung", "count")
 
-    def __init__(self, gaussian, rows, feats, param, src=None):
+    def __init__(self, gaussian, rows, feats, param, rung=False):
         self.gaussian = gaussian
         self.count = len(rows)
         self.rows = _as_index(rows)
         self.feats = None if feats[0] is None else _as_index(feats)
         self.param = param
-        self.src = None if src is None else _as_index(src)
+        self.rung = rung
 
 
 def _as_index(idx: list[int]):
@@ -197,47 +199,36 @@ def _is_view(idx) -> bool:
     return isinstance(idx, (int, slice))
 
 
-#: Two Gaussian coefficients form a ladder rung when their ratio is 2 to within
-#: a few ulps, as for sigma = 2^(k/2) and 2^((k+1)/2) in floating point.
+#: Two Gaussian rates form a ladder rung when their ratio is 2 to within a
+#: few ulps, as for sigma = 2^(k/2) and 2^((k+1)/2) in floating point.
 _RUNG_TOL = 8.0 * np.finfo(np.float64).eps
 
 
 def _group(spec: KernelSpec) -> tuple:
     """The evaluator group of a spec: (is Gaussian, all-feature scope,
-    parameter), the parameter being the coefficient -1/(2 sigma^2) of a
-    Gaussian or the degree of a polynomial."""
+    parameter), the parameter being the rate 1/(2 sigma^2) of a Gaussian or
+    the degree of a polynomial. Groups sort in evaluation order: polynomials
+    before Gaussians, per-feature before all-feature scope, the lowest degree
+    and the widest Gaussian first."""
     gaussian = spec.kind == "gaussian"
-    return gaussian, spec.feature is None, -0.5 / spec.param**2 if gaussian else int(spec.param)
-
-
-def _group_rank(key: tuple) -> tuple:
-    """Order of evaluation: widest Gaussian first (coefficient nearest 0),
-    lowest degree first."""
-    return key[0], key[1], -key[2] if key[0] else key[2]
-
-
-def group_order(specs) -> list[int]:
-    """Spec indices sorted by evaluator group, in `_plan`'s group order, and
-    by feature within a group, so that each group's rows and features are
-    step-1 slices when its features have no gaps. The sort is stable:
-    dropping specs does not reorder the rest."""
-    return sorted(range(len(specs)), key=lambda i: (_group_rank(_group(specs[i])), specs[i].feature or 0))
+    return gaussian, spec.feature is None, 0.5 / spec.param**2 if gaussian else int(spec.param)
 
 
 def _plan(specs) -> list[_Op]:
-    """Evaluation steps, each after the steps whose rows it reads.
+    """Evaluation steps, chain by chain: a root, then its rungs.
 
-    Specs are grouped by (kind, feature scope, parameter). A Gaussian group
-    whose coefficient is twice that of a group with the same scope and
-    features is that group's square, and a polynomial group is the group of
-    one degree less times the base; other groups start from exp or the base.
+    Specs are grouped by (kind, feature scope, parameter), in the order given
+    within a group. A Gaussian group whose rate is twice that of a group with
+    the same scope and features is a rung that squares that group, and a
+    polynomial group is a rung that multiplies the group of one degree less
+    by the base; other groups are roots, which start from exp or the base.
     """
     members: dict[tuple, tuple[list, list]] = {}
     for i, s in enumerate(specs):
         rows, feats = members.setdefault(_group(s), ([], []))
         rows.append(i)
         feats.append(s.feature)
-    keys = sorted(members, key=_group_rank)
+    keys = sorted(members)
     child = {}
     for a, key in enumerate(keys):
         for prev in keys[:a]:
@@ -249,29 +240,12 @@ def _plan(specs) -> list[_Op]:
     for key in keys:
         if key in child.values():
             continue  # planned with its chain
-        chain = [key]
-        while chain[-1] in child:
-            chain.append(child[chain[-1]])
-        plan.extend(_ladder(chain, members) if key[0] else _powers(chain, members))
+        scale = 2.0 if key[1] else 1.0  # the all-feature scope reads half distances
+        plan.append(_Op(key[0], *members[key], -scale * key[2] if key[0] else key[2]))
+        while key in child:
+            key = child[key]
+            plan.append(_Op(key[0], *members[key], None, rung=True))
     return plan
-
-
-def _powers(chain, members) -> list[_Op]:
-    ops = [_Op(False, *members[chain[0]], chain[0][2])]
-    for prev, key in zip(chain, chain[1:]):
-        ops.append(_Op(False, *members[key], key[2], src=members[prev][0]))
-    return ops
-
-
-def _ladder(chain, members) -> list[_Op]:
-    """Steps for a Gaussian chain, widest first: one exp at the widest rung,
-    then one squaring per rung."""
-    rows, feats = members[chain[0]]
-    scale = 2.0 if feats[0] is None else 1.0  # the all-feature scope reads half distances
-    ops = [_Op(True, rows, feats, scale * chain[0][2])]
-    for prev, key in zip(chain, chain[1:]):
-        ops.append(_Op(True, *members[key], None, src=members[prev][0]))
-    return ops
 
 
 def _step(op: _Op, dst, src, inp) -> list[tuple]:
@@ -388,12 +362,12 @@ class GramAccessor:
             return buf
 
         base = None  # x_k . x_j + 1, for the all-feature polynomials
+        prev = None  # the previous step's values, which a rung reads
         for op in self._plan:
             dst = out[op.rows] if _is_view(op.rows) else np.empty((op.count, self.n))
-            src = None if op.src is None else rows_of(out, op.src, op.count)
             inp = None
             if op.gaussian:
-                if src is None:
+                if not op.rung:
                     inp = self._half_sqd if op.feats is None else rows_of(self._d2t, op.feats, op.count)
             elif op.feats is not None:
                 inp = rows_of(self._pbase, op.feats, op.count)
@@ -405,9 +379,10 @@ class GramAccessor:
                     base = np.empty(self.n)
                     calls.append((np.add, (self._dot, 1.0, base)))
                 inp = base
-            calls += _step(op, dst, src, inp)
+            calls += _step(op, dst, prev if op.rung else None, inp)
             if not _is_view(op.rows):
                 calls.append((out.__setitem__, (op.rows, dst)))
+            prev = dst
         if reused:
             if len(self._calls) >= 2:
                 del self._calls[next(iter(self._calls))]
@@ -459,7 +434,8 @@ class Layout(NamedTuple):
 class KernelSums:
     """Weighted kernel sums at query points:
     f(x) = sum_i a_i sum_k b_k kappa_i(z_k, x) over the kernels i and the
-    points z_k, as `KernelSums(specs, points, a, b)(queries)`.
+    points z_k, as `KernelSums(specs, points, a, b)(queries)`, the kernels
+    taken in the order given (a model's, as stored).
 
     A per-feature polynomial depends on one coordinate, so its sum over the
     points is a polynomial in that coordinate, summed in closed form:
@@ -477,6 +453,8 @@ class KernelSums:
     A chunk raises x'/R_x to the powers j <= J once per feature, and one
     batched matrix product with the (features, slots, J + 1) coefficient
     block gives every kernel's series, which it multiplies by exp(c x'^2).
+    A feature's slots hold its Gaussians widest first, ties in the given
+    order.
 
     The other kernels, per-feature Gaussians beyond the bound and
     all-feature kernels, are streamed: the queries are cut into chunks of
@@ -496,10 +474,8 @@ class KernelSums:
     def __init__(self, specs, points: np.ndarray, a: np.ndarray, b: np.ndarray):
         if not specs:
             raise ValueError("at least one kernel spec is required")
-        # group order makes each group's features one slice, read in place
-        self._order = np.array(group_order(specs), dtype=np.intp)
-        self._specs = [specs[i] for i in self._order]
-        self._a = np.asarray(a, dtype=np.float64)[self._order]
+        self._specs = list(specs)
+        self._a = np.asarray(a, dtype=np.float64)
         self._b = np.ascontiguousarray(b, dtype=np.float64)
         Z = np.asarray(points, dtype=np.float64)
         self._Zt = np.ascontiguousarray(Z.T)  # (d, k)
@@ -508,22 +484,22 @@ class KernelSums:
         #: (P + 1, d, 1) table W of the closed-form polynomials, W[j] the coefficients of x^j; or None
         self.table = _moment_table([self._specs[i] for i in poly], Z, self._a[poly], self._b)
         self._streamed = np.array([s.kind == "gaussian" or s.feature is None for s in self._specs])
-        # per-feature Gaussians, expanded about the midpoint z0 of the points' range on their feature
-        self._gauss = np.array([i for i, s in enumerate(self._specs) if s.kind == "gaussian" and s.feature is not None],
-                               dtype=np.intp)
-        feats = np.array([self._specs[i].feature for i in self._gauss], dtype=np.intp)
-        self._inv_var = np.array([self._specs[i].param ** -2.0 for i in self._gauss])  # -2c
+        # per-feature Gaussians, expanded about the midpoint z0 of the points' range on their feature,
+        # in slot order: by feature, widest first
+        gauss = np.array([i for i, s in enumerate(self._specs) if s.kind == "gaussian" and s.feature is not None],
+                         dtype=np.intp)
+        feats = np.array([self._specs[i].feature for i in gauss], dtype=np.intp)
+        inv_var = np.array([self._specs[i].param ** -2.0 for i in gauss])  # -2c
+        by_slot = np.lexsort((inv_var, feats))
+        self._gauss, feats, self._inv_var = gauss[by_slot], feats[by_slot], inv_var[by_slot]
         lo, hi = Z.min(axis=0), Z.max(axis=0)
         centre = 0.5 * lo + 0.5 * hi
         radius = np.maximum(centre - lo, hi - centre)  # R_z: |z'| <= R_z
         # The series block has a row per feature with Gaussians (`_features`)
         # and a slot per Gaussian on it; an empty slot has coefficient 0.
         self._features, self._row = np.unique(feats, return_inverse=True)
-        filled = [0] * len(self._features)
-        self._slot = np.empty_like(self._row)
-        for g, row in enumerate(self._row):
-            self._slot[g], filled[row] = filled[row], filled[row] + 1
-        self._coefs = np.zeros((len(self._features), max(filled, default=0), 1))
+        self._slot = np.arange(len(self._row)) - np.searchsorted(self._row, self._row)
+        self._coefs = np.zeros((len(self._features), self._slot.max(initial=-1) + 1, 1))
         self._coefs[self._row, self._slot, 0] = -0.5 * self._inv_var
         self._centre, self._radius = centre[self._features], radius[self._features]
 
@@ -557,7 +533,7 @@ class KernelSums:
         rows = 0 if series is None else series.shape[0] * series.shape[1]
         ones = np.ones(rows + (0 if self.table is None else self._Zt.shape[0]))
         lay = Layout(plan, np.concatenate([np.atleast_1d(a[op.rows]) for op in plan] + [ones]),
-                     self._order[self._gauss[closed]], series, np.where(reach > 0.0, reach, 1.0)[:, None], 1)
+                     self._gauss[closed], series, np.where(reach > 0.0, reach, 1.0)[:, None], 1)
         return lay._replace(batch=max(1, SLAB_BYTES // self._scratch(lay, 1)[3]))
 
     def __call__(self, queries: np.ndarray) -> np.ndarray:
@@ -617,7 +593,7 @@ class KernelSums:
         pos = 0
         for op in lay.plan:
             dst = slab[: op.count * batch * k].reshape(op.count, batch, k)
-            if op.src is None:  # a chain's root: the input its rungs read too
+            if not op.rung:  # a chain's root: the input its rungs read too
                 if op.feats is None:
                     inp = half if op.gaussian else base
                 elif _is_view(op.feats):
@@ -625,7 +601,7 @@ class KernelSums:
                 else:
                     inp = gather[: dst.size].reshape(dst.shape)
                     calls.append((np.take, (d2, op.feats, 0, inp)))
-            calls += _step(op, dst, None if op.src is None else dst, inp)
+            calls += _step(op, dst, dst if op.rung else None, inp)
             calls.append((np.dot, (dst.reshape(-1, k), self._b, P[pos : pos + op.count].reshape(-1))))
             pos += op.count
         if lay.series is not None:  # exp(c x'^2) sum_j T_j (x'/R_x)^j, into P's next rows

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mklmmwu import NumericalFailure, apply_scaling, load_model, parse_libsvm, predict
+from mklmmwu import Dataset, NumericalFailure, apply_scaling, load_model, parse_libsvm, predict
 from mklmmwu.cli import main, median_ci, run_protocol, stratified_folds
 from mklmmwu.solver import SolverConfig, iteration_budget
 
@@ -129,6 +129,21 @@ class TestTrain:
         capsys.readouterr()
         assert main(["eval", "--model", str(model_path), "--data", str(ones)]) == 0
         assert _report(capsys)["test_error"] == "0.000000"
+
+    def test_m_counts_the_kernels_the_model_file_keeps(self, tmp_path, capsys):
+        # the 12 kernels of the constant feature 2 get mu = 0 exactly and are
+        # left out of the file, so train, eval and the file agree on m
+        rng = np.random.default_rng(3)
+        labels = np.where(np.arange(60) % 2 == 0, 1.0, -1.0)
+        points = np.c_[rng.random(60) + 0.5 * labels, rng.random(60), np.full(60, 0.5)]
+        data, model_path = tmp_path / "c.svm", tmp_path / "c.mkl"
+        data.write_text(serialize_libsvm(Dataset(points, labels)), encoding="utf-8")
+        assert main(["train", "--data", str(data), "--out", str(model_path), "--margin", "hard",
+                     "--per-feature-kernels", "--seed", "1"]) == 0
+        trained = int(_report(capsys)["m"])
+        assert main(["eval", "--model", str(model_path), "--data", str(data)]) == 0
+        kernel_lines = sum(line.split()[0] in ("poly", "gaussian") for line in model_path.read_text().splitlines())
+        assert trained == int(_report(capsys)["m"]) == kernel_lines == 24
 
     def test_max_iters_reflected_in_report(self, tmp_path, capsys):
         data = tmp_path / "d.svm"
@@ -414,8 +429,9 @@ FAMILIES = st.sampled_from([(), ("--per-feature-kernels",)])
 @st.composite
 def _problems(draw):
     """A tiny train and test set: (points, labels) each, labels +-1 with
-    both classes in training, some zero (omitted) coordinates, and the raw
-    label encoding of both files."""
+    both classes in training, some zero (omitted) coordinates, though not
+    the last one of every training point, and the raw label encoding of
+    both files."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 3))
     sets = []
@@ -425,6 +441,8 @@ def _problems(draw):
         labels = rng.choice([-1.0, 1.0], n)
         sets.append((points, labels))
     sets[0][1][:2] = (-1.0, 1.0)
+    if not sets[0][0][:, -1].any():  # the training file sets d, and a test index past it exits 3
+        sets[0][0][0, -1] = 0.5
     return sets[0], sets[1], ENCODINGS[draw(st.sampled_from(tuple(ENCODINGS)))]
 
 

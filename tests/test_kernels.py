@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mklmmwu import (
     GAUSSIAN_BANDWIDTHS,
@@ -17,6 +19,8 @@ from reference import dense_signed_gram, eval_kernel, signed_column
 
 # bandwidth that makes exp(-1 / (2 sigma^2)) = 1/2 at unit distance
 SIGMA_HALF = math.sqrt(1.0 / (2.0 * math.log(2.0)))
+# a fixed shuffle of the 48 kernels of both default families on 3 features
+SHUFFLE_24 = [int(i) for i in np.random.default_rng(24).permutation(48)]
 
 
 class TestEvalKernel:
@@ -210,13 +214,21 @@ class TestRawBlock:
                       KernelSpec("poly", 3.0), KernelSpec("gaussian", 1.0, 0), KernelSpec("gaussian", 1.0, 0)]
         assert self._worst_rel_error(duplicates, 3) <= 1e-13
 
-    def test_shuffled_family_gathers_and_scatters(self):
-        # rows in no arithmetic progression go through index arrays
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.permutations(range(48)) | st.just(list(range(48))),
+           dropped=st.sets(st.integers(0, 47), max_size=40))
+    @example(order=SHUFFLE_24, dropped=set())
+    def test_shuffled_family_gathers_and_scatters(self, order, dropped):
+        # rows in no arithmetic progression go through index arrays; in
+        # family order, dropped kernels leave such rows inside a ladder, so
+        # a rung squares a parent that is scattered into the block after it
         family = make_default_family(3, per_feature=True) + make_default_family(3)
-        order = np.random.default_rng(24).permutation(len(family))
-        family = [family[i] for i in order]
+        family = [family[i] for i in order if i not in dropped]
         acc = bind(family, make_random_dataset(8, 3, 25))
-        assert any(isinstance(op.rows, np.ndarray) for op in acc._plan)
+        written = np.concatenate([np.atleast_1d(np.arange(len(family))[op.rows]) for op in acc._plan])
+        assert sorted(written) == list(range(len(family)))
+        if order == SHUFFLE_24:
+            assert any(isinstance(op.rows, np.ndarray) for op in acc._plan)
         assert self._worst_rel_error(family, 3) <= 1e-13
 
     def test_non_ladder_bandwidths_take_plain_exp(self):
@@ -224,20 +236,19 @@ class TestRawBlock:
         family += [KernelSpec("gaussian", s, feature=1) for s in (0.7, 1.3, 2.9)]
         ds = make_random_dataset(12, 3, 22)
         acc = bind(family, ds)
-        assert all(op.src is None for op in acc._plan)
+        assert not any(op.rung for op in acc._plan)
         assert self._worst_rel_error(family, 3) <= 1e-13
 
     def test_default_ladder_is_one_exp_per_scope(self):
         # sigma^2 = 2^k: one exp step per scope, every other Gaussian step
-        # squares rows written before it, and every step reads and writes
+        # is a rung that squares the step before it, and every step writes
         # single rows or strided slices of the block (per-feature rung k is
         # rows 3+k::12)
         acc = bind(make_default_family(4, per_feature=True) + make_default_family(4),
                    make_random_dataset(8, 4, 23))
         gauss = [op for op in acc._plan if op.gaussian]
-        assert sum(op.src is None for op in gauss if op.feats is None) == 1
-        assert sum(op.src is None for op in gauss if op.feats is not None) == 1
+        assert sum(not op.rung for op in gauss if op.feats is None) == 1
+        assert sum(not op.rung for op in gauss if op.feats is not None) == 1
         assert all(isinstance(op.rows, (int, slice)) for op in acc._plan)
-        assert all(op.src is None or isinstance(op.src, (int, slice)) for op in acc._plan)
         per_feature = [op.rows for op in gauss if op.feats is not None]
         assert {tuple(range(48)[r]) for r in per_feature} == {tuple(range(3 + k, 48, 12)) for k in range(9)}

@@ -300,7 +300,7 @@ class TestBatchedPrediction:
                          model.support_coefs).layout(queries)
         assert len(lay.closed) == 0
         gathered = [op for op in lay.plan if isinstance(op.feats, np.ndarray)]
-        assert [(op.gaussian, op.src is None) for op in gathered] == [(True, True), (True, False)]
+        assert [(op.gaussian, op.rung) for op in gathered] == [(True, False), (True, True)]
         assert np.allclose(decision_values(model, queries), _explicit(model, queries), rtol=1e-12, atol=1e-14)
 
     def test_empty_queries_give_no_values(self, small_batches):
@@ -468,18 +468,62 @@ class TestClosedFormGaussians:
         assert np.allclose(got, _explicit(model, queries), rtol=1e-12, atol=1e-14)
 
 
-class TestPredictionOrder:
-    """KernelSums takes the kept kernels in evaluator group order."""
+@functools.lru_cache(maxsize=None)
+def _fitted_mixed_model():
+    """A model fitted with both default families on 3 features, per-feature
+    then all-feature: 48 kernels in family order."""
+    ds = make_random_dataset(20, 3, 31)
+    family = make_default_family(3, per_feature=True) + make_default_family(3)
+    return fit(ds, family, SolverConfig(eps=0.4, margin="l2", C=2.0))
 
-    def test_shuffled_specs_give_the_same_values(self):
-        ds = make_random_dataset(20, 3, 31)
-        family = make_default_family(3, per_feature=True) + make_default_family(3)
-        model = fit(ds, family, SolverConfig(eps=0.4, margin="l2", C=2.0))
-        perm = np.random.default_rng(32).permutation(len(model.specs))
-        shuffled = dataclasses.replace(model, specs=tuple(model.specs[i] for i in perm), mu=model.mu[perm])
+
+def _reordered(model, order):
+    return dataclasses.replace(model, specs=tuple(model.specs[i] for i in order), mu=model.mu[order])
+
+
+def _group_order(specs):
+    """Kernel indices in evaluator group order: by kind, scope, Gaussian
+    rate 1/(2 sigma^2) or degree, then feature, in a stable sort."""
+    def key(i):
+        s = specs[i]
+        gaussian = s.kind == "gaussian"
+        return gaussian, s.feature is None, 0.5 / s.param**2 if gaussian else int(s.param), s.feature or 0
+    return sorted(range(len(specs)), key=key)
+
+
+class TestPredictionOrder:
+    """KernelSums takes the kept kernels in the order given, the model's as
+    stored; any order gives the same values."""
+
+    @pytest.mark.parametrize("narrow", [False, True], ids=["series", "streamed"])
+    def test_family_and_group_order_give_the_same_bits(self, narrow):
+        # a feature's series slots hold its Gaussians widest first, as in
+        # group order, so the sums add in the same order
+        model = _fitted_mixed_model()
+        if narrow:
+            model = dataclasses.replace(model, specs=_narrow(model.specs))
+        queries = np.random.default_rng(33).uniform(-0.25, 1.25, (20, 3))
+        lay = KernelSums(model.specs, model.support_points, model.mu, model.support_coefs).layout(queries)
+        assert len(lay.closed) == (0 if narrow else 27)
+        grouped = _reordered(model, _group_order(model.specs))
+        assert np.array_equal(decision_values(grouped, queries), decision_values(model, queries))
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.permutations(range(48)) | st.just(list(range(48))),
+           dropped=st.sets(st.integers(0, 47), max_size=40), narrow=st.booleans())
+    @example(order=[int(i) for i in np.random.default_rng(32).permutation(48)], dropped=set(), narrow=False)
+    def test_shuffled_specs_give_the_same_values(self, order, dropped, narrow):
+        # dropped kernels leave gaps in the rows and features of a group, and
+        # narrow Gaussians stream, so rungs of scattered parents and gathered
+        # features run
+        model = _fitted_mixed_model()
+        mu = model.mu.copy()
+        mu[sorted(dropped)] = 0.0
+        model = dataclasses.replace(model, specs=_narrow(model.specs) if narrow else model.specs, mu=mu)
         queries = np.random.default_rng(33).uniform(-0.25, 1.25, (20, 3))
         want = decision_values(model, queries)
-        assert np.abs(decision_values(shuffled, queries) - want).max() <= 1e-12 * np.abs(want).max()
+        got = decision_values(_reordered(model, order), queries)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_full_family_plan_is_contiguous(self, monkeypatch):
         # every kernel of both default families kept, listed in family order,
@@ -511,7 +555,7 @@ class TestPredictionOrder:
         assert all(op.gaussian or op.feats is None for op in lay.plan)
         assert sums.table.shape == (max(POLYNOMIAL_DEGREES) + 1, 4, 1)
         assert all(op.feats is None or isinstance(op.feats, int) or op.feats.step == 1 for op in lay.plan)
-        roots = [op.feats is None for op in lay.plan if op.gaussian and op.src is None]
+        roots = [op.feats is None for op in lay.plan if op.gaussian and not op.rung]
         assert sorted(roots) == [False, True]
 
 
