@@ -87,10 +87,11 @@ def _error(model: MklModel, raw: Dataset) -> float:
     return error_rate(model, raw if model.scaling is None else apply_scaling(raw, model.scaling))
 
 
-def _report(args, n: int, model: MklModel, *, test_error, train_error=None, T=0, wall=0.0) -> None:
+def _report(args, n: int, model: MklModel, *, test_error, train_error=None, T=None, wall=None) -> None:
     """Print one report record as key=value lines and, with --csv, append it
     as one row under a header of the same keys. A key without a value (eval
-    has no train_error) is left off stdout and is an empty CSV cell."""
+    measures no train_error, T or wall time) is left off stdout and is an
+    empty CSV cell."""
     config = model.config
     record = {
         "dataset": os.path.basename(args.data),
@@ -101,7 +102,7 @@ def _report(args, n: int, model: MklModel, *, test_error, train_error=None, T=0,
         "C": "none" if config.C is None else f"{config.C:g}",
         "margin": config.margin,
         "T": T,
-        "wall_seconds": f"{wall:.3f}",
+        "wall_seconds": None if wall is None else f"{wall:.3f}",
         "train_error": None if train_error is None else f"{train_error:.6f}",
         "test_error": f"{test_error:.6f}",
         "active_kernels": int((model.mu > 1e-6).sum()),
@@ -300,6 +301,8 @@ def _validate(args, parser):
                     SolverConfig(eps=eps, margin="l2", C=C, max_iters_override=args.max_iters)
         except ValueError as exc:
             parser.error(str(exc))
+    if getattr(args, "seed", 0) < 0:
+        parser.error("--seed must be nonnegative")
     if getattr(args, "train_fraction", None) is not None:
         if not 0.0 < args.train_fraction < 1.0:
             parser.error("--train-fraction must lie in (0, 1)")

@@ -106,14 +106,6 @@ class KernelSpec:
             raise ValueError("trace normalizer must be positive and finite")
 
 
-def _int_power(base: np.ndarray, degree: int) -> np.ndarray:
-    """base**degree by repeated multiplication, identical on every code path."""
-    out = base.copy()
-    for _ in range(degree - 1):
-        out *= base
-    return out
-
-
 def make_default_family(d: int, per_feature: bool = False) -> list[KernelSpec]:
     """3 polynomial kernels (degree 1..3) plus 9 Gaussians per block.
 
@@ -137,7 +129,8 @@ def make_default_family(d: int, per_feature: bool = False) -> list[KernelSpec]:
 
 
 def bind(specs, dataset: Dataset, ridge: float = 0.0) -> "GramAccessor":
-    """Attach specs to a training set: fix ridge and the unit-trace normalizer.
+    """Attach specs to a training set scaled to [0,1]: their accessor, with
+    each trace normalizer r_i taken from the kernel's own diagonal.
 
     `ridge` is `SolverConfig.ridge` (1/C under a 2-norm soft margin, 0 under
     a hard margin); it is added to the kernel diagonal before trace
@@ -146,18 +139,7 @@ def bind(specs, dataset: Dataset, ridge: float = 0.0) -> "GramAccessor":
     pts = dataset.points
     if pts.min(initial=0.0) < -1e-9 or pts.max(initial=0.0) > 1.0 + 1e-9:
         raise ValueError("dataset must be scaled to [0,1] before binding")
-    n = dataset.n
-    row_sq = np.einsum("ij,ij->i", pts, pts)
-    bound = []
-    for spec in specs:
-        if spec.kind == "gaussian":
-            diag_sum = float(n)  # exp(0) on the diagonal
-        elif spec.feature is None:
-            diag_sum = float(_int_power(row_sq + 1.0, int(spec.param)).sum())
-        else:
-            diag_sum = float(_int_power(np.square(pts[:, spec.feature]) + 1.0, int(spec.param)).sum())
-        bound.append(replace(spec, r=diag_sum + n * ridge, ridge=ridge))
-    return GramAccessor(bound, dataset)
+    return GramAccessor(specs, dataset, ridge)
 
 
 class _Op:
@@ -277,35 +259,36 @@ def _inputs(plan) -> tuple[bool, bool, bool, bool]:
 
 
 class GramAccessor:
-    """Server of raw kernel columns. Its mutable state is scratch for the
-    per-column inputs and the calls cached for reused output buffers, so one
-    accessor serves one caller at a time.
+    """Server of raw kernel columns, built by `bind`. Its mutable state is
+    scratch for the per-column inputs, so one accessor serves one caller at
+    a time.
 
     `signed_columns_all(j)` returns the (m, n) block whose row i is column j
     of the raw kernel matrix K_i, kappa_i(x_k, x_j) for every point k, with
     no ridge, no trace normalizer and no label signs; the solver folds 1/r_i
     and signs into its O(m) and O(n) vectors through `inv_r` and `labels`,
-    and adds its config's ridge itself.
+    and adds `ridge` itself. It writes its two columns a step into `blocks`,
+    whose calls are compiled once. The same plan, run once with each point
+    against itself (x.x, zero distances, x_f^2 + 1), writes the diagonals
+    K_i[k, k], so r_i = trace(K_i) + n ridge is a row sum.
     """
 
-    def __init__(self, bound_specs, dataset: Dataset):
-        self.specs = tuple(bound_specs)
+    def __init__(self, specs, dataset: Dataset, ridge: float = 0.0):
         self.dataset = dataset
-        self.m = len(self.specs)
+        self.m = len(specs)
         self.n = dataset.n
         if self.m == 0:
             raise ValueError("at least one kernel spec is required")
+        self.ridge = float(ridge)
         self._X = np.ascontiguousarray(dataset.points)
         self._Xt = np.ascontiguousarray(self._X.T)
         self._y = np.ascontiguousarray(dataset.labels)
+        row_sq = np.einsum("ij,ij->i", self._X, self._X)
         # Half the squared norms: the all-feature Gaussian steps read half the
         # squared distance, |x_k|^2/2 + |x_j|^2/2 - x_k.x_j, with twice the
         # coefficient, which is exact and saves a pass per column.
-        self._half_row_sq = 0.5 * np.einsum("ij,ij->i", self._X, self._X)
-        #: (m,) trace normalizers 1/r_i, for folding into the solver's vectors
-        self.inv_r = np.array([1.0 / s.r for s in self.specs])
-        self._plan = _plan(self.specs)
-        self._calls: dict[int, tuple] = {}
+        self._half_row_sq = 0.5 * row_sq
+        self._plan = _plan(specs)
         # per-column inputs of the plan's root steps, rewritten by every call
         dot, half_sqd, d2t, pbase = _inputs(self._plan)
         d = self._X.shape[1]
@@ -313,6 +296,20 @@ class GramAccessor:
         self._half_sqd = np.empty(self.n) if half_sqd else None
         self._d2t = np.empty((d, self.n)) if d2t else None  # (x_kf - x_jf)^2
         self._pbase = np.empty((d, self.n)) if pbase else None  # x_kf x_jf + 1
+        self.blocks = (np.empty((self.m, self.n)), np.empty((self.m, self.n)))
+        # keyed by id: the accessor holds the blocks, so no other buffer has one
+        self._block_calls = {id(b): self._compile(b) for b in self.blocks}
+        # the plan's inputs on the diagonal, each point against itself
+        diag_inputs = (row_sq, 0.0, 0.0, np.square(self._Xt) + 1.0)
+        for inp, value in zip((self._dot, self._half_sqd, self._d2t, self._pbase), diag_inputs):
+            if inp is not None:
+                inp[...] = value
+        for f, args in self._block_calls[id(self.blocks[0])]:
+            f(*args)
+        r = self.blocks[0].sum(axis=1) + self.n * self.ridge
+        self.specs = tuple(replace(s, r=float(r_i), ridge=self.ridge) for s, r_i in zip(specs, r))
+        #: (m,) trace normalizers 1/r_i, for folding into the solver's vectors
+        self.inv_r = 1.0 / r
 
     @property
     def labels(self) -> np.ndarray:
@@ -321,12 +318,13 @@ class GramAccessor:
     def signed_columns_all(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """Raw column j of every kernel as an (m, n) block: out[i, k] = kappa_i(x_k, x_j).
 
-        Despite the name, the block carries no label signs, ridge or 1/r_i;
-        `out` enables buffer reuse.
+        Despite the name, the block carries no label signs, ridge or 1/r_i.
+        Into one of `blocks` it runs the compiled calls; any other `out`, or
+        a new block when None, gets calls built for it.
         """
-        reused = out is not None
         if out is None:
             out = np.empty((self.m, self.n))
+        calls = self._block_calls.get(id(out)) or self._compile(out)
         x = self._X[j]
         if self._dot is not None:
             np.dot(self._X, x, self._dot)  # np.dot: same BLAS call as @, less dispatch
@@ -339,18 +337,13 @@ class GramAccessor:
         if self._pbase is not None:
             np.multiply(self._Xt, x[:, None], self._pbase)
             np.add(self._pbase, 1.0, self._pbase)
-        for f, args in self._calls_for(out, reused):
+        for f, args in calls:
             f(*args)
         return out
 
-    def _calls_for(self, out, reused: bool) -> list[tuple]:
+    def _compile(self, out) -> list[tuple]:
         """The plan as (function, args) calls that write `out` from the
-        per-column inputs. The calls for the last two reused buffers are
-        kept: the solver reuses two, and building them costs more than a
-        short column."""
-        hit = self._calls.get(id(out))
-        if hit is not None and hit[0] is out:
-            return hit[1]
+        per-column inputs."""
         calls = []
 
         def rows_of(a, idx, count):
@@ -383,10 +376,6 @@ class GramAccessor:
             if not _is_view(op.rows):
                 calls.append((out.__setitem__, (op.rows, dst)))
             prev = dst
-        if reused:
-            if len(self._calls) >= 2:
-                del self._calls[next(iter(self._calls))]
-            self._calls[id(out)] = (out, calls)
         return calls
 
 

@@ -56,6 +56,21 @@ def tiny_instance(seed, m=3, n=None):
     return Dataset(pts, labels), specs
 
 
+def criterion_4_instance(seed):
+    """Instance `seed` (0..19) of acceptance criterion 4: a tiny labeled set
+    and its dense G_i for one linear and two Gaussian kernels, C = 1."""
+    rng = np.random.default_rng(2000 + seed)
+    n = int(rng.integers(4, 13))
+    d = int(rng.integers(1, 4))
+    pts = rng.random((n, d))
+    labels = np.ones(n)
+    labels[: n // 2] = -1.0
+    rng.shuffle(labels)
+    ds = Dataset(pts, labels)
+    specs = [KernelSpec("poly", 1.0), KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 4.0)]
+    return ds, dense_grams(ds, specs, ridge=1.0)[1]
+
+
 def mixed_saddle_instance():
     """n=4 instance whose optimum genuinely mixes two per-feature kernels."""
     pts = np.array(

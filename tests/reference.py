@@ -7,7 +7,7 @@ matrices check the column evaluator; explicit kernel sums check prediction;
 the arrow-matrix exponential and the dense series check the solver's closed
 form; the LibSVM writer feeds the parser's round trip and the
 record-by-record parser is the block parser's oracle; and the certified
-QCQP solver checks the approximation guarantee.
+QCQP solver and the certified bracket check the approximation guarantee.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def signed_column(acc: GramAccessor, i: int, j: int) -> np.ndarray:
     """Column j of G_i: y_j y_k (kappa_i(x_k, x_j) + ridge [j == k]) / r_i."""
     y = acc.labels
     col = acc.signed_columns_all(j)[i].copy()
-    col[j] += acc.specs[i].ridge
+    col[j] += acc.ridge
     col *= 1.0 / acc.specs[i].r
     col *= y * y[j]
     return col
@@ -77,7 +77,7 @@ def dense_gram(acc: GramAccessor, i: int) -> np.ndarray:
 def dense_signed_gram(acc: GramAccessor, i: int) -> np.ndarray:
     """Full G_i, entry for entry as `signed_column` gives it."""
     gram = dense_gram(acc, i)
-    gram.flat[:: acc.n + 1] += acc.specs[i].ridge
+    gram.flat[:: acc.n + 1] += acc.ridge
     gram *= 1.0 / acc.specs[i].r
     gram *= np.outer(acc.labels, acc.labels)
     return gram
@@ -239,7 +239,7 @@ def dense_expm(mat: np.ndarray) -> np.ndarray:
 
 def recompute_state(alpha_bar: np.ndarray, accessor) -> tuple[np.ndarray, np.ndarray]:
     """Dense reference for the solver caches in their stored form: the
-    unnormalized w_i = (K_i + ridge_i I) yc with yc = y * 2a, and the
+    unnormalized w_i = (K_i + ridge I) yc with yc = y * 2a, and the
     quadforms q_i = a' G_i a = yc' w_i / (4 r_i)."""
     if accessor.n > 100:
         raise ValueError("recompute_state is capped at n <= 100")
@@ -247,7 +247,7 @@ def recompute_state(alpha_bar: np.ndarray, accessor) -> tuple[np.ndarray, np.nda
     w = np.zeros((accessor.m, accessor.n))
     q = np.zeros(accessor.m)
     for i, spec in enumerate(accessor.specs):
-        w[i] = dense_gram(accessor, i) @ yc + spec.ridge * yc
+        w[i] = dense_gram(accessor, i) @ yc + accessor.ridge * yc
         q[i] = float(yc @ w[i]) / (4.0 * spec.r)
     return w, q
 
@@ -502,3 +502,80 @@ def brute_qcqp(
     if certify and residual >= 1e-7:
         raise NumericalFailure(0, f"stationarity residual {residual:.3e} >= 1e-7")
     return BruteResult(alpha=alpha, omega=omega, active=active, multipliers=lam, residual=residual)
+
+
+def _pair_step(h: np.ndarray, a: np.ndarray, idx: np.ndarray) -> tuple:
+    """The MDM pair of one class: (gap, point to take mass from, point to
+    give it to), the support point of largest h and the point of least h."""
+    support = idx[a[idx] > 0.0]
+    k_out, k_in = support[h[support].argmax()], idx[h[idx].argmin()]
+    return float(h[k_out] - h[k_in]), k_out, k_in
+
+
+def _nearest_point(gram, pos, neg, a, rel_gap=1e-5, cap=100_000) -> float:
+    """Pairwise (MDM) descent on f(a) = a' gram a over the feasible set,
+    from `a`, which it overwrites with the point it reaches. Returns the
+    Frank-Wolfe lower bound on min f, valid at any feasible a: with h =
+    gram a, f is convex, so min f >= f(a) + min_s 2h'(s - a), and the
+    linear minimum puts 1/2 on the least h of each class:
+    min f >= min_pos h + min_neg h - a'h. Stops when f is within rel_gap
+    of the bound, or after about `cap` steps."""
+    for _ in range(0, cap, 50):
+        h = gram @ a  # afresh every 50 steps, so the bound carries no drift
+        f = float(a @ h)
+        bound = float(h[pos].min() + h[neg].min()) - f
+        if f - bound <= rel_gap * f:
+            break
+        for _ in range(50):
+            # move mass t from k_out to k_in in the class with the larger gap,
+            # t minimizing f along that line and at most a[k_out]
+            gap, k_out, k_in = max(_pair_step(h, a, pos), _pair_step(h, a, neg))
+            if gap <= 0.0:
+                break
+            curv = gram[k_in, k_in] + gram[k_out, k_out] - 2.0 * gram[k_in, k_out]
+            t = a[k_out] if curv <= 0.0 else min(a[k_out], gap / curv)
+            a[k_in] += t
+            a[k_out] -= t
+            h += t * (gram[:, k_in] - gram[:, k_out])
+    return bound
+
+
+def certified_bracket(gmats, y: np.ndarray, tol: float = 1.002, rounds: int = 500):
+    """Bounds lo <= omega* <= hi on omega* = min max_i alpha' G_i alpha over
+    {alpha >= 0, class sums both 1/2}, and the feasible point that gives hi,
+    as (lo, hi, alpha). Takes the dense G_i, so sizes a test can hold.
+
+    The G_i are PSD and both sets are compact and convex, so omega* is also
+    the max over kernel weights w in the simplex of min_alpha alpha' G_w
+    alpha, G_w = sum_i w_i G_i. For any w, the Frank-Wolfe bound of that
+    inner problem (`_nearest_point`) is thus a lower bound on omega*, and
+    any feasible alpha gives the upper bound max_i alpha' G_i alpha. An
+    outer multiplicative-weights loop moves w toward the kernels with the
+    largest alpha' G_i alpha at the inner problem's nearest point. Its step
+    grows by half after a round that raises lo, and halves, from the best w
+    so far, after one that does not. It stops when hi/lo < tol or after
+    `rounds` rounds.
+    """
+    gstack = np.stack([np.asarray(g, dtype=np.float64) for g in gmats])
+    y = np.asarray(y, dtype=np.float64)
+    pos, neg = np.flatnonzero(y > 0), np.flatnonzero(y < 0)
+    if pos.size == 0 or neg.size == 0:
+        raise InfeasibleDual("both classes are required")
+    a = np.zeros(y.size)
+    a[pos], a[neg] = 0.5 / pos.size, 0.5 / neg.size
+    w = best_w = np.full(len(gstack), 1.0 / len(gstack))
+    lo, hi, best_a, best_q, eta = -math.inf, math.inf, a.copy(), None, 1.0
+    for _ in range(rounds):
+        bound = _nearest_point(np.tensordot(w, gstack, 1), pos, neg, a)
+        q = (gstack @ a) @ a
+        if q.max() < hi:
+            hi, best_a = float(q.max()), a.copy()
+        if bound > lo:
+            lo, best_w, best_q, eta = bound, w, q, 1.5 * eta
+        else:
+            eta *= 0.5
+        if hi < tol * lo:
+            break
+        w = best_w * np.exp(eta * (best_q - best_q.max()) / hi)
+        w /= w.sum()
+    return lo, hi, best_a

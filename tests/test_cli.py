@@ -79,6 +79,31 @@ class TestTrain:
             main(["train", "--data", str(data), *flags])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["train", "--eps", "1e-170"], "eps"), (["train", "--eps", "1e-160"], "eps"),
+         (["cv", "--eps-grid", "1e-200"], "eps"), (["train", "--C", "1e-320"], "C"),
+         (["train", "--seed", "-1"], "--seed"), (["cv", "--seed", "-1"], "--seed")],
+        ids=["eps_squared_underflows", "budget_overflows", "eps_grid_squared_underflows", "ridge_overflows",
+             "negative_seed", "cv_negative_seed"],
+    )
+    def test_unrunnable_settings_exit_2_naming_the_option(self, tmp_path, capsys, argv, option):
+        data = tmp_path / "d.svm"
+        _write_blobs(data, n=30)
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--data", str(data)])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "Traceback" not in err_text
+        assert err_text.splitlines()[-1].startswith(f"mklmmwu: error: {option} ")
+
+    def test_budget_overflowing_for_the_data_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.svm"
+        _write_blobs(data, n=30)
+        assert main(["train", "--data", str(data), "--eps", "3.2e-154"]) == 3
+        err_text = capsys.readouterr().err
+        assert "Traceback" not in err_text and "error: eps 3.2e-154 is too small for n=24" in err_text
+
     def test_missing_file_exits_3(self, capsys):
         assert main(["train", "--data", "/nonexistent/data.svm"]) == 3
 
@@ -218,6 +243,22 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--model", str(model_path), "--data", str(data)]) == 0
         assert float(_report(capsys)["test_error"]) == 0.0
+
+    def test_eval_reports_no_iterations_or_wall_time(self, tmp_path, capsys):
+        # eval runs no fit: T and wall_seconds are off stdout and empty cells
+        data = tmp_path / "d.svm"
+        _write_blobs(data)
+        model_path, csv_path = tmp_path / "m.mkl", tmp_path / "runs.csv"
+        assert main(["train", "--data", str(data), "--out", str(model_path), "--max-iters", "40",
+                     "--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--data", str(data), "--csv", str(csv_path)]) == 0
+        keys = [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
+        assert "T" not in keys and "wall_seconds" not in keys and "test_error" in keys
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            train_row, eval_row = csv.DictReader(fh)
+        assert train_row["T"] == "40" and train_row["wall_seconds"] != ""
+        assert eval_row["T"] == eval_row["wall_seconds"] == ""
 
     def test_constant_positive_model_on_balanced_data(self, tmp_path, capsys):
         data = tmp_path / "d.svm"

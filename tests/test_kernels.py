@@ -106,6 +106,38 @@ class TestBind:
         with pytest.raises(ValueError):
             bind([KernelSpec("gaussian", 1.0)], ds)
 
+    @pytest.mark.parametrize("name", ["per_feature", "all_feature", "shuffled"])
+    def test_trace_normalizers_are_the_diagonal_sums(self, name):
+        # bitwise: the accessor runs its plan on the diagonal, this test sums
+        # the diagonal itself; the shuffle, with kernel 7 dropped, gathers
+        # features and scatters rows there too
+        both = make_default_family(3, per_feature=True) + make_default_family(3)
+        family = {"per_feature": both[:36], "all_feature": both[36:],
+                  "shuffled": [both[i] for i in SHUFFLE_24 if i != 7]}[name]
+        ds = make_random_dataset(23, 3, 26)
+        for ridge in (0.0, 0.25):
+            acc = bind(family, ds, ridge)
+            want = [_diagonal_sum(s, ds.points) + ds.n * ridge for s in family]
+            assert [s.r for s in acc.specs] == want
+            assert np.array_equal(acc.inv_r, 1.0 / np.array(want))
+            assert acc.ridge == ridge
+        if name == "shuffled":
+            assert any(not isinstance(op.rows, (int, slice)) for op in acc._plan)
+            assert any(isinstance(op.feats, np.ndarray) for op in acc._plan)
+
+
+def _diagonal_sum(spec, points) -> float:
+    """trace(K) for one kernel: n ones for a Gaussian, and for a polynomial
+    the sum of (|x|^2 + 1)^p, or (x_f^2 + 1)^p, by repeated multiplication."""
+    if spec.kind == "gaussian":
+        return float(len(points))
+    sq = np.einsum("ij,ij->i", points, points) if spec.feature is None else np.square(points[:, spec.feature])
+    base = sq + 1.0
+    diag = base.copy()
+    for _ in range(int(spec.param) - 1):
+        diag *= base
+    return float(diag.sum())
+
 
 class TestSignedColumns:
     def _two_point(self):
@@ -145,10 +177,21 @@ class TestSignedColumns:
             block = acc.signed_columns_all(j, out=buf)
             for i in range(acc.m):
                 folded = block[i].copy()
-                folded[j] += acc.specs[i].ridge
+                folded[j] += acc.ridge
                 folded *= acc.inv_r[i]
                 folded *= ds.labels * ds.labels[j]
                 assert np.array_equal(folded, signed_column(acc, i, j))
+
+    def test_blocks_serve_the_columns_of_a_fresh_buffer(self):
+        # the calls compiled once per block write what calls built for a new
+        # buffer write, including through the gather and scatter paths
+        both = make_default_family(3, per_feature=True) + make_default_family(3)
+        for family in (both, [both[i] for i in SHUFFLE_24 if i != 7]):
+            acc = bind(family, make_random_dataset(20, 3, 27), 0.25)
+            for k, j in ((0, 3), (1, 11), (0, 19), (1, 0)):
+                block = acc.signed_columns_all(j, out=acc.blocks[k])
+                assert block is acc.blocks[k]
+                assert np.array_equal(block, acc.signed_columns_all(j))
 
     def test_deterministic_repeat_calls(self):
         ds = make_random_dataset(10, 2, 6)

@@ -5,8 +5,8 @@ import pytest
 
 from mklmmwu import InfeasibleDual, KernelSpec, bind
 
-from helpers import dense_grams, make_random_dataset, tiny_instance
-from reference import brute_qcqp, dense_expm, recompute_state, signed_column
+from helpers import criterion_4_instance, dense_grams, make_random_dataset, tiny_instance
+from reference import brute_qcqp, certified_bracket, dense_expm, recompute_state, signed_column
 
 
 class TestDenseExpm:
@@ -103,6 +103,24 @@ class TestBruteQcqp:
     def test_size_caps(self):
         with pytest.raises(ValueError):
             brute_qcqp([np.eye(13)], np.array([1.0] * 7 + [-1.0] * 6))
+
+
+class TestCertifiedBracket:
+    def test_contains_brute_omega_on_criterion_4_instances(self):
+        for seed in range(20):
+            ds, gmats = criterion_4_instance(seed)
+            omega = brute_qcqp(gmats, ds.labels, seed=seed).omega
+            lo, hi, alpha = certified_bracket(gmats, ds.labels)
+            assert lo <= omega <= hi < 1.002 * lo
+            # hi is the objective at a feasible point
+            assert (alpha >= 0.0).all()
+            for cls in (1.0, -1.0):
+                assert alpha[ds.labels == cls].sum() == pytest.approx(0.5, abs=1e-12)
+            assert hi == pytest.approx(max(float(alpha @ g @ alpha) for g in gmats), rel=1e-12)
+
+    def test_single_class_raises(self):
+        with pytest.raises(InfeasibleDual):
+            certified_bracket([np.eye(4)], np.ones(4))
 
 
 class TestRecomputeState:

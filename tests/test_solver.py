@@ -41,6 +41,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(eps=0.2, margin="hard", C=5.0)  # a hard margin takes no C
 
+    def test_budget_and_ridge_must_be_finite(self):
+        # eps**2 underflows to 0 at 1e-170, 8 rho^2 / eps^2 overflows at
+        # 1e-160, and 1/C overflows at C = 1e-320
+        for eps in (1e-170, 1e-160):
+            with pytest.raises(ValueError, match="eps"):
+                SolverConfig(eps=eps)
+        with pytest.raises(ValueError, match="C"):
+            SolverConfig(eps=0.2, margin="l2", C=1e-320)
+        # values just inside still build, with the budget formula unchanged
+        cfg = SolverConfig(eps=1e-150, margin="l2", C=1e-300)
+        assert math.isfinite(cfg.ridge)
+        assert iteration_budget(cfg, 2) == math.ceil((8.0 * 1.5**2 / 1e-150**2) * math.log(2))
+
     def test_ridge_follows_margin(self):
         assert SolverConfig(eps=0.2, margin="l2", C=3.0).ridge == 1.0 / 3.0
         assert SolverConfig(eps=0.2, margin="hard").ridge == 0.0
@@ -76,6 +89,13 @@ class TestIterationBudget:
     def test_override(self):
         cfg = SolverConfig(eps=0.2, max_iters_override=77)
         assert iteration_budget(cfg, 10_000) == 77
+
+    def test_overflowing_budget_raises(self):
+        # 8 rho^2 / eps^2 is finite at eps = 3.2e-154, its product with ln n is not
+        cfg = SolverConfig(eps=3.2e-154)
+        assert iteration_budget(cfg, 2) == math.ceil((8.0 * 1.5**2 / 3.2e-154**2) * math.log(2))
+        with pytest.raises(ValueError, match="eps"):
+            iteration_budget(cfg, 281)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -183,6 +203,18 @@ class TestExponentiate:
         p12_e, g_e = exponentiate_m(exact)
         assert np.abs(g_q - g_e).max() <= 1e-10 * np.abs(g_e).max()
         assert np.abs(p12_q - p12_e).max() <= 1e-10 * np.abs(p12_e).max()
+
+
+class TestFresh:
+    def test_refuses_an_accessor_bound_with_another_ridge(self):
+        # the r_i carry the accessor's ridge and the updates add the config's
+        ds = make_random_dataset(10, 2, 15)
+        l2 = SolverConfig(eps=0.2, margin="l2", C=4.0)
+        with pytest.raises(ValueError, match="ridge"):
+            SolverState.fresh(bind(make_default_family(2), ds), l2)
+        with pytest.raises(ValueError, match="ridge"):
+            SolverState.fresh(bind(make_default_family(2), ds, 0.5), SolverConfig(eps=0.2, margin="hard"))
+        assert SolverState.fresh(bind(make_default_family(2), ds, l2.ridge), l2).t == 0
 
 
 class TestApplyUpdate:
