@@ -13,18 +13,19 @@ same plan for the other kernels, streaming batches of query points through
 it and contracting each step's kernel values with the model's weights as it
 goes.
 
-One grouped evaluator computes the block, with the specs in the order
-given, which is the model file's. Specs are grouped by (kind, feature
-scope, parameter), and each group's rows are a slice of the block whenever
-they form an arithmetic progression (per-feature rung k of the default
-family is rows 3+k::12), so every step writes the block in place. Groups
-form chains: a root, then rungs, each of which reads the step before it.
-Gaussians use a squaring ladder: exp(-d / (2 sigma^2)) is the square of the
-Gaussian with twice the bandwidth squared, and the default bandwidths have
-sigma^2 = 2^k, so each scope of the default family takes one exp at the
-widest bandwidth and eight squarings, on rows 3+k::12 per feature or on
-single rows in the all-feature scope. A bandwidth that is not a x2 rung of
-another spec with the same scope and features gets a plain exp.
+One grouped evaluator computes the block. Specs are grouped by (kind,
+feature scope, parameter), and a group's rows are a slice of the block
+whenever they form an arithmetic progression, so every step writes the
+block in place. `bind` sorts the specs into group order, which the model
+file keeps, so in training every group is one step-1 slice; prediction
+takes a model's kernels as stored. Groups form chains: a root, then rungs,
+each of which reads the step before it. Gaussians use a squaring ladder:
+exp(-d / (2 sigma^2)) is the square of the Gaussian with twice the
+bandwidth squared, and the default bandwidths have sigma^2 = 2^k, so each
+scope of the default family takes one exp at the widest bandwidth and
+eight squarings, on one slice of d rows per feature or on single rows in
+the all-feature scope. A bandwidth that is not a x2 rung of another spec
+with the same scope and features gets a plain exp.
 Polynomial degrees are built by repeated multiplication by x.z + 1. The
 arithmetic of each step is written once, in `_step`, for both executors.
 
@@ -130,7 +131,8 @@ def make_default_family(d: int, per_feature: bool = False) -> list[KernelSpec]:
 
 def bind(specs, dataset: Dataset, ridge: float = 0.0) -> "GramAccessor":
     """Attach specs to a training set scaled to [0,1]: their accessor, with
-    each trace normalizer r_i taken from the kernel's own diagonal.
+    the specs in group order (`acc.specs`, whatever order they are given
+    in) and each trace normalizer r_i taken from the kernel's own diagonal.
 
     `ridge` is `SolverConfig.ridge` (1/C under a 2-norm soft margin, 0 under
     a hard margin); it is added to the kernel diagonal before trace
@@ -181,6 +183,10 @@ def _is_view(idx) -> bool:
     return isinstance(idx, (int, slice))
 
 
+#: 1.0 as a 0-d array: a ufunc converts a Python float operand on every call,
+#: which costs about half as much as the operation on a column of 500 points.
+_ONE = np.array(1.0)
+
 #: Two Gaussian rates form a ladder rung when their ratio is 2 to within a
 #: few ulps, as for sigma = 2^(k/2) and 2^((k+1)/2) in floating point.
 _RUNG_TOL = 8.0 * np.finfo(np.float64).eps
@@ -223,7 +229,7 @@ def _plan(specs) -> list[_Op]:
         if key in child.values():
             continue  # planned with its chain
         scale = 2.0 if key[1] else 1.0  # the all-feature scope reads half distances
-        plan.append(_Op(key[0], *members[key], -scale * key[2] if key[0] else key[2]))
+        plan.append(_Op(key[0], *members[key], np.array(-scale * key[2]) if key[0] else key[2]))
         while key in child:
             key = child[key]
             plan.append(_Op(key[0], *members[key], None, rung=True))
@@ -263,6 +269,12 @@ class GramAccessor:
     scratch for the per-column inputs, so one accessor serves one caller at
     a time.
 
+    It sorts the specs it is given by (evaluator group, feature, parameter)
+    and keeps them in that order as `specs`: row i of every block is
+    `specs[i]`. Each group's rows are then one step-1 slice, so every plan
+    step writes its block in place; only per-feature groups whose features
+    have gaps in no progression gather their inputs.
+
     `signed_columns_all(j)` returns the (m, n) block whose row i is column j
     of the raw kernel matrix K_i, kappa_i(x_k, x_j) for every point k, with
     no ridge, no trace normalizer and no label signs; the solver folds 1/r_i
@@ -280,8 +292,15 @@ class GramAccessor:
         if self.m == 0:
             raise ValueError("at least one kernel spec is required")
         self.ridge = float(ridge)
+        specs = sorted(specs, key=lambda s: (_group(s), s.feature, s.param))
         self._X = np.ascontiguousarray(dataset.points)
-        self._Xt = np.ascontiguousarray(self._X.T)
+        # X^T with zero columns up to a multiple of 64 points: BLAS rounds the
+        # product x_j X^T alike for each full block of points and otherwise for
+        # a ragged tail, so with no tail x_j . x_k == x_k . x_j bit for bit
+        padded = np.zeros((self._X.shape[1], -(-self.n // 64) * 64))
+        padded[:, : self.n] = self._X.T
+        self._Xt_padded = padded
+        self._Xt = padded[:, : self.n]
         self._y = np.ascontiguousarray(dataset.labels)
         row_sq = np.einsum("ij,ij->i", self._X, self._X)
         # Half the squared norms: the all-feature Gaussian steps read half the
@@ -292,7 +311,8 @@ class GramAccessor:
         # per-column inputs of the plan's root steps, rewritten by every call
         dot, half_sqd, d2t, pbase = _inputs(self._plan)
         d = self._X.shape[1]
-        self._dot = np.empty(self.n) if dot else None  # x_k . x_j
+        self._dot_padded = np.empty(padded.shape[1]) if dot else None
+        self._dot = self._dot_padded[: self.n] if dot else None  # x_k . x_j
         self._half_sqd = np.empty(self.n) if half_sqd else None
         self._d2t = np.empty((d, self.n)) if d2t else None  # (x_kf - x_jf)^2
         self._pbase = np.empty((d, self.n)) if pbase else None  # x_kf x_jf + 1
@@ -327,16 +347,16 @@ class GramAccessor:
         calls = self._block_calls.get(id(out)) or self._compile(out)
         x = self._X[j]
         if self._dot is not None:
-            np.dot(self._X, x, self._dot)  # np.dot: same BLAS call as @, less dispatch
+            np.dot(x, self._Xt_padded, self._dot_padded)
         if self._half_sqd is not None:
-            np.add(self._half_row_sq, self._half_row_sq[j], self._half_sqd)
+            np.add(self._half_row_sq, self._half_row_sq[j, ...], self._half_sqd)  # [j, ...]: a 0-d view
             np.subtract(self._half_sqd, self._dot, self._half_sqd)
         if self._d2t is not None:
             np.subtract(self._Xt, x[:, None], self._d2t)
             np.square(self._d2t, self._d2t)
         if self._pbase is not None:
             np.multiply(self._Xt, x[:, None], self._pbase)
-            np.add(self._pbase, 1.0, self._pbase)
+            np.add(self._pbase, _ONE, self._pbase)
         for f, args in calls:
             f(*args)
         return out
@@ -357,7 +377,7 @@ class GramAccessor:
         base = None  # x_k . x_j + 1, for the all-feature polynomials
         prev = None  # the previous step's values, which a rung reads
         for op in self._plan:
-            dst = out[op.rows] if _is_view(op.rows) else np.empty((op.count, self.n))
+            dst = out[op.rows]  # a view: in group order every group's rows are one slice
             inp = None
             if op.gaussian:
                 if not op.rung:
@@ -365,16 +385,14 @@ class GramAccessor:
             elif op.feats is not None:
                 inp = rows_of(self._pbase, op.feats, op.count)
             elif base is None and op.param == 1:  # degree 1 is the base itself, written in place
-                calls.append((np.add, (self._dot, 1.0, dst)))
+                calls.append((np.add, (self._dot, _ONE, dst)))
                 base, inp = dst[0] if dst.ndim == 2 else dst, dst
             else:
                 if base is None:
                     base = np.empty(self.n)
-                    calls.append((np.add, (self._dot, 1.0, base)))
+                    calls.append((np.add, (self._dot, _ONE, base)))
                 inp = base
             calls += _step(op, dst, prev if op.rung else None, inp)
-            if not _is_view(op.rows):
-                calls.append((out.__setitem__, (op.rows, dst)))
             prev = dst
         return calls
 

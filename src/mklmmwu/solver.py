@@ -37,6 +37,15 @@ from .kernels import GramAccessor, bind
 #: counts as zero: it adds nothing to g and gets weight 0.
 MIN_QUADFORM = 1e-12
 
+#: Largest iteration budget. Past 2^53 the iteration count t and the pick
+#: counts c = 2 alpha_bar are no longer exact float64 integers, so neither the
+#: support coefficients alpha_bar / t nor each class's dual mass of 1/2 would be.
+MAX_BUDGET = 2**53
+
+# 0-d arrays, which a ufunc takes without the per-call conversion of a float
+_ZERO = np.array(0.0)
+_MIN_QUADFORM = np.array(MIN_QUADFORM)
+
 
 @dataclass
 class SolverConfig:
@@ -49,7 +58,7 @@ class SolverConfig:
     bound gives with a proven width. The (1 + eps) factor is measured, not
     proven: it held on acceptance criterion 4's tiny instances and fails at
     the sizes the workloads run (tests/test_acceptance.py). eps must keep
-    8 rho^2 / eps^2 finite, and C must keep 1/C finite.
+    the budget at n = 2 within MAX_BUDGET, and C must keep 1/C finite.
     """
 
     eps: float
@@ -65,8 +74,8 @@ class SolverConfig:
             raise ValueError("eps must be positive")
         if self.eps >= 2.0 * self.rho:
             raise ValueError("eps must be smaller than 2*rho")
-        if self.eps**2 == 0.0 or not math.isfinite(8.0 * self.rho**2 / self.eps**2):
-            raise ValueError(f"eps {self.eps!r} is too small: the budget 8 rho^2 / eps^2 overflows")
+        if not _budget(self, 2) <= MAX_BUDGET:
+            raise ValueError(f"eps {self.eps!r} is too small: the iteration budget exceeds 2^53 at any n")
         if self.margin not in ("hard", "l2"):
             raise ValueError("margin must be 'hard' or 'l2'")
         if self.margin == "l2" and (self.C is None or not self.C > 0.0):
@@ -75,8 +84,8 @@ class SolverConfig:
             raise ValueError(f"C {self.C!r} is too small: the ridge 1/C overflows")
         if self.margin == "hard" and self.C is not None:
             raise ValueError("a hard margin takes no C")
-        if self.max_iters_override is not None and self.max_iters_override < 1:
-            raise ValueError("max_iters_override must be at least 1")
+        if self.max_iters_override is not None and not 1 <= self.max_iters_override <= MAX_BUDGET:
+            raise ValueError("max_iters_override must be at least 1 and at most 2^53")
 
     @property
     def ridge(self) -> float:
@@ -112,7 +121,10 @@ class SolverState:
     # per-kernel multiples the update formulas apply every iteration
     _half_inv_r: np.ndarray = field(default=None, repr=False)
     _quarter_inv_r: np.ndarray = field(default=None, repr=False)
-    _ridge: float = field(default=0.0, repr=False)
+    # 0-d arrays, as _ZERO
+    _ridge: np.ndarray = field(default=None, repr=False)
+    _two_ridge: np.ndarray = field(default=None, repr=False)
+    _s_scale: np.ndarray = field(default=None, repr=False)  # eps' / (2 rho): s_i = _s_scale sqrt(q_i)
 
     @property
     def max_step_width(self) -> float:
@@ -139,20 +151,28 @@ class SolverState:
             _step_quad_max=np.zeros(m),
             _half_inv_r=0.5 * accessor.inv_r,
             _quarter_inv_r=0.25 * accessor.inv_r,
-            _ridge=config.ridge,
+            _ridge=np.array(config.ridge),
+            _two_ridge=np.array(2.0 * config.ridge),
+            _s_scale=np.array(config.eps_prime / (2.0 * config.rho)),
         )
+
+
+def _budget(config: SolverConfig, n: int) -> float:
+    """(8 rho^2 / eps^2) ln n before rounding up; inf when eps^2 underflows to 0."""
+    eps_sq = config.eps**2
+    return (8.0 * config.rho**2 / eps_sq) * math.log(n) if eps_sq else math.inf
 
 
 def iteration_budget(config: SolverConfig, n: int) -> int:
     """ceil((8 rho^2 / eps^2) ln n), unless overridden. ValueError when that
-    overflows a float, as it can for an eps near the smallest one allowed."""
+    exceeds MAX_BUDGET, as it can for a small eps that passed at n = 2."""
     if n < 2:
         raise ValueError("need at least 2 points")
     if config.max_iters_override is not None:
         return int(config.max_iters_override)
-    budget = (8.0 * config.rho**2 / config.eps**2) * math.log(n)
-    if not math.isfinite(budget):
-        raise ValueError(f"eps {config.eps!r} is too small for n={n}: the iteration budget overflows")
+    budget = _budget(config, n)
+    if not budget <= MAX_BUDGET:
+        raise ValueError(f"eps {config.eps!r} is too small for n={n}: the iteration budget exceeds 2^53")
     return int(math.ceil(budget))
 
 
@@ -182,7 +202,7 @@ def apply_update(state: SolverState, jp: int, jm: int) -> SolverState:
     cross = w[:, jp] - w[:, jm]
     ridge = state._ridge
     if ridge:
-        step_quad += 2.0 * ridge
+        step_quad += state._two_ridge
     step_quad *= state._quarter_inv_r
     cross *= state._half_inv_r
     cross += step_quad
@@ -190,8 +210,10 @@ def apply_update(state: SolverState, jp: int, jm: int) -> SolverState:
     np.maximum(state._step_quad_max, step_quad, out=state._step_quad_max)
     w += kp
     if ridge:
-        w[:, jp] += ridge
-        w[:, jm] -= ridge
+        col = w[:, jp]  # in place through the view: `w[:, jp] += ridge` would also copy it back
+        col += ridge
+        col = w[:, jm]
+        col -= ridge
     state.alpha_bar[jp] += 0.5
     state.alpha_bar[jm] += 0.5
     state.t += 1
@@ -213,9 +235,9 @@ def exponentiate_m(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
     acc = state.accessor
     config = state.config
     m, n = state.w.shape
-    u_raw = np.sqrt(np.maximum(state.q, 0.0))
-    s = (config.eps_prime / (2.0 * config.rho)) * u_raw
-    s_max = float(np.maximum.reduce(s))
+    u_raw = np.sqrt(np.maximum(state.q, _ZERO))
+    s = state._s_scale * u_raw
+    s_max = float(s[s.argmax()])  # NaN when any s_i is: argmax stops at the first NaN
     if s_max < config.quash_threshold:
         p11 = np.cosh(s)
         p12 = np.sinh(s)
@@ -225,7 +247,7 @@ def exponentiate_m(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
         p12 = p11.copy()
         e_m = math.exp(-s_max)
     p12 /= -(m * (n - 1) * e_m + 2.0 * float(np.add.reduce(p11)))
-    coef = np.divide(p12, u_raw, out=np.zeros(m), where=u_raw >= MIN_QUADFORM)
+    coef = np.divide(p12, u_raw, out=np.zeros(m), where=u_raw >= _MIN_QUADFORM)
     coef *= acc.inv_r
     g = np.dot(coef, state.w)  # np.dot: same BLAS call as @, less dispatch
     g *= acc.labels

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -100,9 +101,22 @@ class TestTrain:
     def test_budget_overflowing_for_the_data_exits_3(self, tmp_path, capsys):
         data = tmp_path / "d.svm"
         _write_blobs(data, n=30)
-        assert main(["train", "--data", str(data), "--eps", "3.2e-154"]) == 3
+        assert main(["train", "--data", str(data), "--eps", "5e-8"]) == 3
         err_text = capsys.readouterr().err
-        assert "Traceback" not in err_text and "error: eps 3.2e-154 is too small for n=24" in err_text
+        assert "Traceback" not in err_text and "error: eps 5e-08 is too small for n=24" in err_text
+
+    def test_budget_past_2_to_the_53_exits_2_at_once(self, tmp_path, capsys):
+        # eps = 1e-100 asks for about 1e202 iterations
+        data = tmp_path / "d.svm"
+        _write_blobs(data, n=30)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(data), "--eps", "1e-100"])
+        assert time.perf_counter() - start < 1.0
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "Traceback" not in err_text
+        assert err_text.splitlines()[-1].startswith("mklmmwu: error: eps 1e-100 is too small")
 
     def test_missing_file_exits_3(self, capsys):
         assert main(["train", "--data", "/nonexistent/data.svm"]) == 3

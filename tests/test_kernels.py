@@ -13,14 +13,18 @@ from mklmmwu import (
     make_default_family,
 )
 from mklmmwu.kernels import MAX_POLYNOMIAL_DEGREE
+from mklmmwu.model import fit, serialize_model
+from mklmmwu.solver import SolverConfig
 
 from helpers import make_random_dataset
-from reference import dense_signed_gram, eval_kernel, signed_column
+from reference import dense_gram, dense_signed_gram, eval_kernel, signed_column
 
 # bandwidth that makes exp(-1 / (2 sigma^2)) = 1/2 at unit distance
 SIGMA_HALF = math.sqrt(1.0 / (2.0 * math.log(2.0)))
 # a fixed shuffle of the 48 kernels of both default families on 3 features
 SHUFFLE_24 = [int(i) for i in np.random.default_rng(24).permutation(48)]
+# the same for the 60 kernels of both default families on 4 features
+SHUFFLE_60 = [int(i) for i in np.random.default_rng(24).permutation(60)]
 
 
 class TestEvalKernel:
@@ -109,20 +113,19 @@ class TestBind:
     @pytest.mark.parametrize("name", ["per_feature", "all_feature", "shuffled"])
     def test_trace_normalizers_are_the_diagonal_sums(self, name):
         # bitwise: the accessor runs its plan on the diagonal, this test sums
-        # the diagonal itself; the shuffle, with kernel 7 dropped, gathers
-        # features and scatters rows there too
+        # the diagonal itself; the shuffle, with kernel 7 dropped and kernel 5
+        # repeated, gathers features there too
         both = make_default_family(3, per_feature=True) + make_default_family(3)
         family = {"per_feature": both[:36], "all_feature": both[36:],
-                  "shuffled": [both[i] for i in SHUFFLE_24 if i != 7]}[name]
+                  "shuffled": [both[i] for i in SHUFFLE_24 if i != 7] + [both[5]]}[name]
         ds = make_random_dataset(23, 3, 26)
         for ridge in (0.0, 0.25):
             acc = bind(family, ds, ridge)
-            want = [_diagonal_sum(s, ds.points) + ds.n * ridge for s in family]
+            want = [_diagonal_sum(s, ds.points) + ds.n * ridge for s in acc.specs]
             assert [s.r for s in acc.specs] == want
             assert np.array_equal(acc.inv_r, 1.0 / np.array(want))
             assert acc.ridge == ridge
         if name == "shuffled":
-            assert any(not isinstance(op.rows, (int, slice)) for op in acc._plan)
             assert any(isinstance(op.feats, np.ndarray) for op in acc._plan)
 
 
@@ -232,7 +235,7 @@ class TestRawBlock:
         worst = 0.0
         for j in range(n):
             block = acc.signed_columns_all(j)
-            for i, spec in enumerate(family):
+            for i, spec in enumerate(acc.specs):
                 for k in range(n):
                     want = eval_kernel(spec, ds.points[k], ds.points[j])
                     worst = max(worst, abs(block[i, k] - want) / abs(want))
@@ -258,21 +261,23 @@ class TestRawBlock:
         assert self._worst_rel_error(duplicates, 3) <= 1e-13
 
     @settings(max_examples=30, deadline=None)
-    @given(order=st.permutations(range(48)) | st.just(list(range(48))),
-           dropped=st.sets(st.integers(0, 47), max_size=40))
-    @example(order=SHUFFLE_24, dropped=set())
-    def test_shuffled_family_gathers_and_scatters(self, order, dropped):
-        # rows in no arithmetic progression go through index arrays; in
-        # family order, dropped kernels leave such rows inside a ladder, so
-        # a rung squares a parent that is scattered into the block after it
-        family = make_default_family(3, per_feature=True) + make_default_family(3)
+    @given(order=st.permutations(range(60)) | st.just(list(range(60))),
+           dropped=st.sets(st.integers(0, 59), max_size=50))
+    @example(order=SHUFFLE_60, dropped={29})
+    def test_shuffled_family_gathers_never_scatters(self, order, dropped):
+        # in group order every step writes one slice of the block, whatever
+        # the given order; features in no arithmetic progression, as [0, 1, 3]
+        # once feature 2 loses its Gaussian 29, go through index arrays that
+        # the executor gathers
+        family = make_default_family(4, per_feature=True) + make_default_family(4)
         family = [family[i] for i in order if i not in dropped]
-        acc = bind(family, make_random_dataset(8, 3, 25))
+        acc = bind(family, make_random_dataset(8, 4, 25))
+        assert all(isinstance(op.rows, int) or op.rows.step == 1 for op in acc._plan)
         written = np.concatenate([np.atleast_1d(np.arange(len(family))[op.rows]) for op in acc._plan])
         assert sorted(written) == list(range(len(family)))
-        if order == SHUFFLE_24:
-            assert any(isinstance(op.rows, np.ndarray) for op in acc._plan)
-        assert self._worst_rel_error(family, 3) <= 1e-13
+        if order == SHUFFLE_60 and dropped == {29}:
+            assert any(isinstance(op.feats, np.ndarray) for op in acc._plan)
+        assert self._worst_rel_error(family, 4) <= 1e-13
 
     def test_non_ladder_bandwidths_take_plain_exp(self):
         family = [KernelSpec("gaussian", s) for s in (0.7, 1.3, 2.9)]
@@ -285,13 +290,63 @@ class TestRawBlock:
     def test_default_ladder_is_one_exp_per_scope(self):
         # sigma^2 = 2^k: one exp step per scope, every other Gaussian step
         # is a rung that squares the step before it, and every step writes
-        # single rows or strided slices of the block (per-feature rung k is
-        # rows 3+k::12)
+        # single rows or contiguous slices of the block (in group order the
+        # 12 polynomial rows of the per-feature scope, then its 3 all-feature
+        # ones, come first, so per-feature rung k is rows 15+4k to 18+4k)
         acc = bind(make_default_family(4, per_feature=True) + make_default_family(4),
                    make_random_dataset(8, 4, 23))
         gauss = [op for op in acc._plan if op.gaussian]
         assert sum(not op.rung for op in gauss if op.feats is None) == 1
         assert sum(not op.rung for op in gauss if op.feats is not None) == 1
-        assert all(isinstance(op.rows, (int, slice)) for op in acc._plan)
+        assert all(isinstance(op.rows, int) or op.rows.step == 1 for op in acc._plan)
         per_feature = [op.rows for op in gauss if op.feats is not None]
-        assert {tuple(range(48)[r]) for r in per_feature} == {tuple(range(3 + k, 48, 12)) for k in range(9)}
+        assert {tuple(range(60)[r]) for r in per_feature} == {tuple(range(15 + 4 * k, 19 + 4 * k)) for k in range(9)}
+
+
+# a list of indices into both default families on 4 features (repeats and
+# feature gaps allowed) and a permutation of it
+_PICKS = st.lists(st.integers(0, 59), min_size=1, max_size=12).flatmap(
+    lambda p: st.tuples(st.just(p), st.permutations(p)))
+
+
+class TestGroupOrder:
+    """`bind` sorts the specs into evaluator group order, whatever the order
+    it is given."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair=_PICKS)
+    @example(pair=([0, 12, 36, 29, 29, 53, 5], [29, 53, 36, 5, 0, 29, 12]))
+    def test_any_permutation_binds_and_trains_the_same(self, pair):
+        # the example repeats feature 2's Gaussian 29 and gives the degree-1
+        # polynomials features [0, 1, 3], so both gather
+        pool = make_default_family(4, per_feature=True) + make_default_family(4)
+        family, shuffled = ([pool[i] for i in p] for p in pair)
+        ds = make_random_dataset(12, 4, 31)
+        a, b = bind(family, ds, 0.25), bind(shuffled, ds, 0.25)
+        assert a.specs == b.specs
+        assert np.array_equal(a.inv_r, b.inv_r)
+        for j in (0, 5, 11):
+            assert np.array_equal(a.signed_columns_all(j), b.signed_columns_all(j))
+        config = SolverConfig(eps=0.5, margin="l2", C=4.0)
+        assert serialize_model(fit(ds, family, config)) == serialize_model(fit(ds, shuffled, config))
+
+    @pytest.mark.parametrize("name", ["per_feature", "all_feature", "shuffled"])
+    def test_every_step_writes_a_slice_and_none_scatters(self, name):
+        both = make_default_family(3, per_feature=True) + make_default_family(3)
+        family = {"per_feature": both[:36], "all_feature": both[36:],
+                  "shuffled": [both[i] for i in SHUFFLE_24 if i != 7]}[name]
+        acc = bind(family, make_random_dataset(10, 3, 32))
+        assert all(isinstance(op.rows, int) or op.rows.step == 1 for op in acc._plan)
+        call_lists = [acc._block_calls[id(b)] for b in acc.blocks] + [acc._compile(np.empty((acc.m, acc.n)))]
+        assert all(getattr(f, "__name__", None) != "__setitem__" for calls in call_lists for f, _ in calls)
+
+    def test_dot_products_match_and_are_exactly_symmetric(self):
+        # 281 points are no multiple of a BLAS row block: without the padded
+        # transpose some x_j . x_k != x_k . x_j in the last bit
+        ds = make_random_dataset(281, 33, 33)
+        acc = bind([KernelSpec("poly", 1.0)], ds)
+        for j in (0, 140, 280):
+            acc.signed_columns_all(j)
+            assert np.allclose(acc._dot, ds.points @ ds.points[j], rtol=1e-14, atol=0.0)
+        gram = dense_gram(acc, 0)
+        assert np.array_equal(gram, gram.T)

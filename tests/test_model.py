@@ -291,7 +291,11 @@ class TestBatchedPrediction:
         ds = make_random_dataset(6, 4, 37)
         specs = bind(_narrow(make_default_family(4, per_feature=True)), ds).specs
         mu = rng.random(len(specs)) + 0.1
-        mu[[24, 25, 3 + 24 + 8, 3 + 24 + 7]] = 0.0
+        widest = sorted({s.param for s in specs if s.kind == "gaussian"})[-2:]
+        gaps = [i for i, s in enumerate(specs)
+                if s.feature == 2 and s.param in ((1.0, 2.0) if s.kind == "poly" else widest)]
+        assert len(gaps) == 4
+        mu[gaps] = 0.0
         model = MklModel(specs=specs, mu=mu, support_points=ds.points, support_labels=ds.labels,
                          support_coefs=rng.random(ds.n) + 0.1, bias=0.1, config=SolverConfig(eps=0.4))
         keep = mu > 0.0

@@ -50,9 +50,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="C"):
             SolverConfig(eps=0.2, margin="l2", C=1e-320)
         # values just inside still build, with the budget formula unchanged
-        cfg = SolverConfig(eps=1e-150, margin="l2", C=1e-300)
+        cfg = SolverConfig(eps=4e-8, margin="l2", C=1e-300)
         assert math.isfinite(cfg.ridge)
-        assert iteration_budget(cfg, 2) == math.ceil((8.0 * 1.5**2 / 1e-150**2) * math.log(2))
+        assert iteration_budget(cfg, 2) == math.ceil((8.0 * 1.5**2 / 4e-8**2) * math.log(2))
 
     def test_ridge_follows_margin(self):
         assert SolverConfig(eps=0.2, margin="l2", C=3.0).ridge == 1.0 / 3.0
@@ -89,13 +89,28 @@ class TestIterationBudget:
     def test_override(self):
         cfg = SolverConfig(eps=0.2, max_iters_override=77)
         assert iteration_budget(cfg, 10_000) == 77
+        assert iteration_budget(SolverConfig(eps=0.2, max_iters_override=2**53), 2) == 2**53
+        with pytest.raises(ValueError, match="max_iters_override"):
+            SolverConfig(eps=0.2, max_iters_override=2**53 + 1)
 
     def test_overflowing_budget_raises(self):
-        # 8 rho^2 / eps^2 is finite at eps = 3.2e-154, its product with ln n is not
-        cfg = SolverConfig(eps=3.2e-154)
-        assert iteration_budget(cfg, 2) == math.ceil((8.0 * 1.5**2 / 3.2e-154**2) * math.log(2))
+        # at eps = 5e-8 the budget is within 2^53 at n = 2 and past it at n = 281
+        cfg = SolverConfig(eps=5e-8)
+        assert iteration_budget(cfg, 2) == math.ceil((8.0 * 1.5**2 / 5e-8**2) * math.log(2))
         with pytest.raises(ValueError, match="eps"):
             iteration_budget(cfg, 281)
+
+    @pytest.mark.parametrize("n", [2, 281])
+    def test_budget_stops_at_2_to_the_53(self, n):
+        # edge puts the budget at 2^53 for n points; a relative 1e-9 either
+        # side moves it by about 1.8e7 iterations. Past the edge, SolverConfig
+        # refuses the eps at n = 2 and iteration_budget refuses it at n = 281.
+        edge = math.sqrt(8.0 * 1.5**2 * math.log(n) / 2.0**53)
+        inside = SolverConfig(eps=edge * (1.0 + 1e-9))
+        assert iteration_budget(inside, n) == math.ceil((8.0 * 1.5**2 / inside.eps**2) * math.log(n))
+        assert 2**53 - 10**8 < iteration_budget(inside, n) <= 2**53
+        with pytest.raises(ValueError, match=r"exceeds 2\^53"):
+            iteration_budget(SolverConfig(eps=edge * (1.0 - 1e-9)), n)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
